@@ -197,6 +197,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"ERROR FileNotFound: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"ERROR FileError: {exc}", file=sys.stderr)
+        return 1
     except json.JSONDecodeError as exc:
         print(f"ERROR FormatError: {exc}", file=sys.stderr)
         return 1

@@ -78,9 +78,6 @@ class FiniteLattice:
         self.bottom_id = self._extreme(least=True)
         self.top_id = self._extreme(least=False)
 
-        self._is_distributive: bool | None = None
-        self._distributivity_witness: tuple[int, int, int] | None = None
-        self._subtract_table: np.ndarray | None = None
         self._caches: dict[str, object] = {}
 
     # -- construction helpers ------------------------------------------------
@@ -175,11 +172,20 @@ class FiniteLattice:
 
     @property
     def irreducibles(self) -> tuple[int, ...]:
-        """Join-irreducible elements: exactly one lower cover."""
+        """Join-irreducible elements, in id order.
+
+        x is join-irreducible when it is not bottom and no pair a, b with
+        a != x != b joins to x; read off the join table in O(n^2).  In a
+        finite lattice these are exactly the elements with one lower cover.
+        """
 
         def make():
-            counts = self.cover.sum(axis=0)
-            return tuple(int(i) for i in range(self.n) if counts[i] == 1)
+            jt = self.join_table
+            ids = np.arange(self.n)
+            reducible = np.zeros(self.n, dtype=bool)
+            reducible[jt[(jt != ids[:, None]) & (jt != ids[None, :])]] = True
+            reducible[self.bottom_id] = True
+            return tuple(int(i) for i in np.nonzero(~reducible)[0])
 
         return self._cached("irreducibles", make)
 
@@ -217,24 +223,32 @@ class FiniteLattice:
     # -- distributivity and subtraction ---------------------------------------
 
     def distributivity(self) -> tuple[bool, tuple[int, int, int] | None]:
-        """Triple-scan distributivity test; returns (flag, witness or None).
+        """Distributivity test; returns (flag, witness or None).
 
-        The witness (a, b, c) satisfies a one (b meet c) != (a one b) meet
-        (a one c).  Cached after the first call.
+        A finite lattice is distributive iff every join-irreducible j is
+        join-prime: j below a join b implies j below a or j below b.  Each
+        j costs one vectorised n x n step.  When j is below a join b but
+        below neither, one of the triples (b, j, a) and (j meet a, j, b)
+        is a witness (x, y, z) with x join (y meet z) != (x join y) meet
+        (x join z).  Cached after the first call.
         """
-        if self._is_distributive is None:
-            jt, mt = self.join_table, self.meet_table
-            self._is_distributive = True
-            for a in range(self.n):
-                lhs = jt[a, mt]
-                rhs = mt[np.ix_(jt[a], jt[a])]
-                diff = lhs != rhs
-                if diff.any():
-                    b, c = map(int, np.argwhere(diff)[0])
-                    self._is_distributive = False
-                    self._distributivity_witness = (a, b, c)
-                    break
-        return self._is_distributive, self._distributivity_witness
+
+        def make():
+            jt, mt, leq = self.join_table, self.meet_table, self.leq
+            for j in self.irreducibles:
+                up = leq[j]
+                broken = up[jt] & ~up[:, None] & ~up[None, :]
+                if broken.any():
+                    a, b = map(int, np.argwhere(broken)[0])
+                    if jt[b, mt[j, a]] != jt[b, j]:
+                        return False, (b, j, a)
+                    # Now b join (j meet a) = b join j lies above j, so the
+                    # right side is j; the left side joins two elements
+                    # strictly below the irreducible j, so it is not j.
+                    return False, (int(mt[j, a]), j, b)
+            return True, None
+
+        return self._cached("distributivity", make)
 
     @property
     def is_distributive(self) -> bool:
@@ -253,21 +267,31 @@ class FiniteLattice:
 
     @property
     def subtract_table(self) -> np.ndarray:
-        """Full n x n table of subtract(d, c), built on first use."""
-        if self._subtract_table is None:
+        """Full n x n table, table[d, c] = subtract(d, c), built on first use.
+
+        On a distributive lattice d minus c is the join of the irreducibles
+        below d and not below c (Birkhoff), so the table grows from all
+        bottom by one masked join per irreducible.  Elsewhere it is filled
+        entry by entry from `subtract`.
+        """
+
+        def make():
             n = self.n
-            down = self.down_packed
-            lookup = self.down_packed_lookup
-            table = np.empty((n, n), dtype=np.int32)
-            for c in range(n):
-                joined = self.join_table[c]
-                mask = self.leq[:, joined]  # mask[d, e]: c join e >= d
-                for d in range(n):
-                    acc = np.bitwise_and.reduce(down[mask[d]], axis=0)
-                    table[d, c] = lookup[acc.tobytes()]
+            if self.is_distributive:
+                jt, leq = self.join_table, self.leq
+                table = np.full((n, n), self.bottom_id, dtype=np.int32)
+                for j in self.irreducibles:
+                    sel = leq[j][:, None] & ~leq[j][None, :]  # j below d, not below c
+                    table = np.where(sel, jt[table, j], table)
+            else:
+                table = np.array(
+                    [[self.subtract(d, c) for c in range(n)] for d in range(n)],
+                    dtype=np.int32,
+                )
             table.flags.writeable = False
-            self._subtract_table = table
-        return self._subtract_table
+            return table
+
+        return self._cached("subtract_table", make)
 
     # -- derived lattices ------------------------------------------------------
 

@@ -94,27 +94,22 @@ def dilate(se: PointSet, x: PointSet) -> PointSet:
 
 
 def erode(se: PointSet, x: PointSet) -> PointSet:
-    """Erosion of x by the structuring element.
+    """Erosion of x by the structuring element: the vectors u whose
+    translate se + u lies inside x.
 
-    Computed by both defining formulas, the intersection of negative
-    translates and the translation-containment form, which must agree.
-    The empty structuring element is rejected: its erosion would be the
-    whole (infinite) carrier.
+    Every such u is p - v for some p in x and any fixed v in se, so those
+    differences are the candidates.  The empty structuring element is
+    rejected: its erosion would be the whole (infinite) carrier.
     """
     dim = _same_dim(se, x)
     if not se.points:
         raise EmptyStructuringElement("erosion by the empty set is the whole carrier")
-    by_translates: frozenset[Vector] | None = None
-    for u in se.points:
-        shifted = frozenset(_add(p, _neg(u)) for p in x.points)
-        by_translates = shifted if by_translates is None else by_translates & shifted
     some = next(iter(se.points))
     candidates = frozenset(_add(p, _neg(some)) for p in x.points)
-    by_containment = frozenset(
-        u for u in candidates if all(_add(v, u) in x.points for v in se.points)
+    return PointSet(
+        dim,
+        frozenset(u for u in candidates if all(_add(v, u) in x.points for v in se.points)),
     )
-    assert by_translates == by_containment, "erosion formulas disagree"
-    return PointSet(dim, by_containment)
 
 
 def distributed_dilation(a: PointSet, b: PointSet, x: PointSet) -> PointSet:

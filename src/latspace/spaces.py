@@ -20,6 +20,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import (
+    FormatError,
     InvalidElement,
     LatticeMismatch,
     NotASpaceFunction,
@@ -306,12 +307,12 @@ def function_meet_oracle(
 
 def _enum_cap() -> int:
     raw = os.environ.get("LATSPACE_MAX_ENUM")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_MAX_ENUM
+    if not raw:
+        return DEFAULT_MAX_ENUM
+    try:
+        return int(raw)
+    except ValueError:
+        raise FormatError(f"LATSPACE_MAX_ENUM must be an integer, got {raw!r}") from None
 
 
 def random_space_function(lattice: FiniteLattice, rng) -> SpaceFunction:
@@ -392,13 +393,19 @@ class Scs:
 
     @classmethod
     def from_json(cls, doc: dict, *, base_dir: str = ".") -> "Scs":
+        agents_doc = doc.get("agents", {}) if isinstance(doc, dict) else None
+        if not isinstance(agents_doc, dict):
+            raise InvalidElement(
+                "malformed agent-system document: expected an object whose "
+                "agents entry is an object"
+            )
         lattice_doc = doc.get("lattice")
         if isinstance(lattice_doc, str):
             lattice = FiniteLattice.load(os.path.join(base_dir, lattice_doc))
         else:
             lattice = FiniteLattice.from_json(lattice_doc)
         agents = {}
-        for name, spec in doc.get("agents", {}).items():
+        for name, spec in agents_doc.items():
             agents[str(name)] = _parse_images(lattice, spec)
         return cls(lattice, agents)
 

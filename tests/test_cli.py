@@ -222,3 +222,33 @@ def test_enum_cap_env_var(fixture_dir):
     )
     assert out.returncode == 1
     assert out.stderr.startswith("ERROR TooLarge:")
+
+
+def test_scs_check_on_json_array(tmp_path):
+    path = tmp_path / "array.json"
+    path.write_text("[1, 2]")
+    out = run_cli("scs-check", str(path))
+    assert out.returncode == 1
+    assert out.stderr.count("\n") == 1
+    assert out.stderr.startswith("ERROR InvalidElement:")
+
+
+def test_lattice_check_on_directory(tmp_path):
+    out = run_cli("lattice-check", str(tmp_path))
+    assert out.returncode == 1
+    assert out.stderr.count("\n") == 1
+    assert out.stderr.startswith("ERROR FileError:")
+
+
+def test_enum_cap_env_var_must_be_an_integer(fixture_dir):
+    out = subprocess.run(
+        [sys.executable, "-m", "latspace", "delta",
+         "--scs", str(fixture_dir / "m2_scs.json"), "--group", "1,2",
+         "--method", "oracle"],
+        capture_output=True, text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC,
+             "PYTHONIOENCODING": "utf-8", "LATSPACE_MAX_ENUM": "abc"},
+    )
+    assert out.returncode == 1
+    assert out.stderr.count("\n") == 1
+    assert out.stderr.startswith("ERROR FormatError:")

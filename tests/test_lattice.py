@@ -15,6 +15,74 @@ from latspace.errors import (
 )
 
 
+# Non-distributive shapes stacked above a powerset's top: (new labels, covers
+# among them); None stands for the powerset's top.
+STACKS = {
+    "M3": (["x", "y", "z", "1"],
+           [(None, "x"), (None, "y"), (None, "z"), ("x", "1"), ("y", "1"), ("z", "1")]),
+    "N5": (["p", "q", "r", "1"],
+           [(None, "p"), ("p", "q"), ("q", "1"), (None, "r"), ("r", "1")]),
+}
+
+
+def stacked_lattice(k, shape):
+    """Powerset of k generators with M3 or N5 stacked above its top."""
+    base = ls.powerset_lattice([f"g{i}" for i in range(k)])
+    top = base.labels[base.top_id]
+    extras, links = STACKS[shape]
+    covers = base.cover_pairs() + [(lo or top, hi) for lo, hi in links]
+    return ls.build_lattice(list(base.labels) + extras, covers)
+
+
+@pytest.fixture(scope="module")
+def lattices(canonical):
+    """The canonical fixtures plus stacked non-distributive lattices."""
+    return {**canonical, "powerset3+M3": stacked_lattice(3, "M3"),
+            "powerset3+N5": stacked_lattice(3, "N5")}
+
+
+def triple_scan_is_distributive(lat):
+    """Reference: the law a join (b meet c) = (a join b) meet (a join c)
+    at every triple, as one n x n x n comparison."""
+    jt, mt = lat.join_table, lat.meet_table
+    ids = np.arange(lat.n)
+    lhs = jt[ids[:, None, None], mt[None, :, :]]
+    rhs = mt[jt[:, :, None], jt[:, None, :]]
+    return bool((lhs == rhs).all())
+
+
+def one_lower_cover(lat):
+    """Reference irreducibles: elements with exactly one lower cover."""
+    lt = lat.leq & ~np.eye(lat.n, dtype=bool)
+    out = []
+    for x in range(lat.n):
+        below = [y for y in range(lat.n) if lt[y, x]]
+        covers = [y for y in below if not any(lt[y, z] for z in below)]
+        if len(covers) == 1:
+            out.append(x)
+    return tuple(out)
+
+
+def breaks_distributive_law(lat, witness):
+    a, b, c = witness
+    lhs = lat.join_of([a, lat.meet_of([b, c])])
+    rhs = lat.meet_of([lat.join_of([a, b]), lat.join_of([a, c])])
+    return lhs != rhs
+
+
+def assert_derived_structures_agree(lat):
+    flag, witness = lat.distributivity()
+    assert flag is triple_scan_is_distributive(lat)
+    assert (witness is None) == flag
+    if witness is not None:
+        assert breaks_distributive_law(lat, witness)
+    assert lat.irreducibles == one_lower_cover(lat)
+    table = lat.subtract_table
+    for d in range(lat.n):
+        for c in range(lat.n):
+            assert table[d, c] == lat.subtract(d, c)
+
+
 def test_singleton_lattice():
     lat = ls.build_lattice(["⊥"], [])
     assert lat.n == 1
@@ -73,18 +141,39 @@ def test_join_of_rejects_bad_ids(m2):
     ("N5", False),
     ("herbrand-xy-ab", False),
     ("chain3", True),
+    ("powerset3+M3", False),
+    ("powerset3+N5", False),
 ])
-def test_distributivity_verdicts(canonical, name, expected):
-    lat = canonical[name]
+def test_distributivity_verdicts(lattices, name, expected):
+    lat = lattices[name]
     flag, witness = lat.distributivity()
     assert flag is expected
     if expected:
         assert witness is None
     else:
-        a, b, c = witness
-        lhs = lat.join_of([a, lat.meet_of([b, c])])
-        rhs = lat.meet_of([lat.join_of([a, b]), lat.join_of([a, c])])
-        assert lhs != rhs
+        assert breaks_distributive_law(lat, witness)
+
+
+@pytest.mark.parametrize("name", [
+    "M2", "M3", "N5", "herbrand-xy-ab", "chain3", "powerset3+M3", "powerset3+N5",
+])
+def test_derived_structures_agree_on_fixtures(lattices, name):
+    assert_derived_structures_agree(lattices[name])
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_derived_structures_agree_on_random_downset_lattices(seed):
+    lat = ls.random_distributive_lattice(random.Random(seed), max_points=7)
+    assert_derived_structures_agree(lat)
+
+
+@settings(max_examples=10, deadline=None)
+@given(k=st.integers(0, 4), shape=st.sampled_from(sorted(STACKS)))
+def test_derived_structures_agree_on_stacked_lattices(k, shape):
+    lat = stacked_lattice(k, shape)
+    assert not lat.is_distributive
+    assert_derived_structures_agree(lat)
 
 
 def test_m3_shape(m3):

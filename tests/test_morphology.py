@@ -98,6 +98,24 @@ def test_erode_hand_example_dim1():
     assert mo.erode(pset(1, [0, 1]), pset(1, [0, 1, 2])) == pset(1, [0, 1])
 
 
+def erode_by_translates(se, x):
+    """Reference erosion: the intersection of the translates x - v, v in se."""
+    acc = None
+    for v in se.points:
+        shifted = frozenset(tuple(a - b for a, b in zip(p, v)) for p in x.points)
+        acc = shifted if acc is None else acc & shifted
+    return mo.PointSet(x.dim, acc)
+
+
+def test_erode_matches_intersection_of_translates():
+    rng = random.Random(5)
+    for dim in (1, 2, 3):
+        for trial in range(200):
+            s = pset(dim, [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(1, 4))])
+            x = pset(dim, [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(0, 12))])
+            assert mo.erode(s, x) == erode_by_translates(s, x), f"dim {dim} trial {trial}"
+
+
 def test_erode_rejects_empty_brush():
     with pytest.raises(EmptyStructuringElement):
         mo.erode(mo.PointSet(1, frozenset()), pset(1, [0]))

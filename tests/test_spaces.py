@@ -5,6 +5,7 @@ import pytest
 
 import latspace as ls
 from latspace.errors import (
+    FormatError,
     InvalidElement,
     LatticeMismatch,
     NotASpaceFunction,
@@ -309,3 +310,20 @@ def test_scs_missing_arrow_entry(m2):
     doc = {"lattice": m2.to_json(), "agents": {"1": ["p→p", "p→p", "p→p", "p→p"]}}
     with pytest.raises(InvalidElement):
         ls.Scs.from_json(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    "scs",
+    {"lattice": {"elements": ["a"], "covers": []}, "agents": [["a"]]},
+])
+def test_scs_rejects_malformed_documents(doc):
+    with pytest.raises(InvalidElement):
+        ls.Scs.from_json(doc)
+
+
+def test_enum_cap_env_must_be_an_integer(monkeypatch):
+    lat = ls.powerset_lattice(["a"])
+    monkeypatch.setenv("LATSPACE_MAX_ENUM", "abc")
+    with pytest.raises(FormatError):
+        ls.enumerate_space_functions(lat)
