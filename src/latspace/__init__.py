@@ -52,7 +52,6 @@ from .spaces import (
 )
 from .distributed import (
     DeltaFamily,
-    delta_general,
     delta_group,
     delta_pair,
     delta_pair_raw,

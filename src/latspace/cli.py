@@ -200,7 +200,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"ERROR FileError: {exc}", file=sys.stderr)
         return 1
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"ERROR FormatError: {exc}", file=sys.stderr)
         return 1
 

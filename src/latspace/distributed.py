@@ -1,10 +1,14 @@
 """Distributed spaces: greatest space functions below a group's agents.
 
-Three mutually checking computations are provided: the pair/tuple
-formula (meet over all information combinations deriving each element,
-valid on distributive lattices), the subtraction recursion (same value
-through the residual), and the enumeration oracle (exact on every
-finite lattice).  Group and join projections are the adjoint side.
+The production route works on distributive lattices, where every
+join-irreducible j is join-prime (Birkhoff): the meet of two space
+functions is fixed by its values on the irreducibles J, so
+delta(c) = join of f(j) meet g(j) over the j in J below c, at O(|J| n)
+per pair.  The subtraction recursion computes the same value as a
+vectorised meet reduction.  The raw pair formula (meet over all
+information combinations deriving each element), the direct tuple scan
+and the enumeration oracle (exact on every finite lattice) are kept as
+cross-checks.  Group and join projections are the adjoint side.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -93,28 +97,41 @@ def delta_pair_raw(
 
 
 def delta_pair(lattice: FiniteLattice, f: SpaceFunction, g: SpaceFunction) -> SpaceFunction:
-    """Meet of two space functions in the function lattice (distributive case)."""
+    """Meet of two space functions in the function lattice (distributive case).
+
+    Every join-irreducible j is join-prime, so the meet is the extension by
+    joins of j -> f(j) meet g(j): starting from all bottom, one masked join
+    per irreducible over the elements above it.
+    """
     _require_distributive(lattice)
-    return SpaceFunction(lattice, tuple(pair_formula_images(lattice, f.images, g.images)))
+    jt, mt, leq = lattice.join_table, lattice.meet_table, lattice.leq
+    fi, gi = f.images, g.images
+    images = np.full(lattice.n, lattice.bottom_id, dtype=np.int32)
+    for j in lattice.irreducibles:
+        images = np.where(leq[j], jt[images, mt[fi[j], gi[j]]], images)
+    return SpaceFunction(lattice, tuple(images.tolist()))
 
 
 def delta_pair_subtract(
     lattice: FiniteLattice, f: SpaceFunction, g: SpaceFunction
 ) -> SpaceFunction:
     """Same function as delta_pair, through the subtraction recursion:
-    for each c, the meet of f(a) join g(c minus a) over a below c."""
+    for each c, the meet of f(a) join g(c minus a) over a below c.
+
+    values[c, a] holds f(a) join g(c minus a), or top where a is not below
+    c; each row is then meet-reduced by pairwise halving of its columns.
+    """
     _require_distributive(lattice)
-    sub = lattice.subtract_table
-    join = lattice.join_rows
-    meet = lattice.meet_rows
-    fi, gi = f.images, g.images
-    images = []
-    for c in range(lattice.n):
-        acc = lattice.top_id
-        for a in lattice.down_ids(c):
-            acc = meet[acc][join[fi[a]][gi[sub[c][a]]]]
-        images.append(acc)
-    return SpaceFunction(lattice, tuple(images))
+    jt, mt = lattice.join_table, lattice.meet_table
+    fi = np.asarray(f.images, dtype=np.int32)
+    gi = np.asarray(g.images, dtype=np.int32)
+    values = jt[fi[None, :], gi[lattice.subtract_table]]
+    values = np.where(lattice.leq.T, values, np.int32(lattice.top_id))
+    while values.shape[1] > 1:
+        half = values.shape[1] // 2
+        meets = mt[values[:, :half], values[:, half : 2 * half]]
+        values = np.hstack([meets, values[:, 2 * half :]])  # an odd last column waits
+    return SpaceFunction(lattice, tuple(values[:, 0].tolist()))
 
 
 def delta_tuples_direct(
@@ -158,16 +175,6 @@ def delta_tuples_direct(
     return acc
 
 
-def delta_general(
-    lattice: FiniteLattice,
-    fs: Sequence[SpaceFunction],
-    *,
-    max_candidates: int | None = None,
-) -> SpaceFunction:
-    """Exact distributed space on arbitrary finite lattices (oracle route)."""
-    return function_meet_oracle(lattice, list(fs), max_candidates=max_candidates)
-
-
 @dataclass
 class DeltaFamily:
     """Write-once cache of distributed spaces, keyed by agent-name set."""
@@ -207,7 +214,7 @@ def delta_group(
     elif len(names) == 1:
         result = scs.agent(names[0])
     elif method == "oracle":
-        result = delta_general(lattice, [scs.agent(x) for x in names])
+        result = function_meet_oracle(lattice, [scs.agent(x) for x in names])
     else:
         step = delta_pair if method == "tuple" else delta_pair_subtract
         result = reduce(

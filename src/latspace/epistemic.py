@@ -287,10 +287,12 @@ class KripkeModel:
                         f"relation of agent {agent!r} references unknown state "
                         f"({s!r}, {t!r})"
                     )
+        valuation = {s: dict(row) for s, row in self.valuation.items()}
         for s in self.states:
-            row = self.valuation.setdefault(s, {})
+            row = valuation.setdefault(s, {})
             for p in self.props:
                 row.setdefault(p, 0)
+        self.valuation = valuation
 
     def successors(self, agent: str, state: str) -> frozenset[str]:
         pairs = self.relations.get(agent, frozenset())

@@ -6,9 +6,6 @@ class LatspaceError(Exception):
 
     code = "Error"
 
-    def __str__(self) -> str:
-        return super().__str__()
-
 
 class NotAntisymmetric(LatspaceError):
     code = "NotAntisymmetric"

@@ -328,6 +328,8 @@ class FiniteLattice:
             covers = [tuple(pair) for pair in doc["covers"]]
         except (KeyError, TypeError) as exc:
             raise InvalidElement(f"malformed lattice document: {exc}") from None
+        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+            raise InvalidElement('"elements" must be a list of strings')
         return build_lattice(labels, covers, max_elements=max_elements)
 
     @classmethod

@@ -52,3 +52,22 @@ def brute_force_space_functions(lattice) -> list[tuple[int, ...]]:
         if ls.validate_space_function(lattice, images) is None:
             out.append(images)
     return out
+
+
+# Non-distributive shapes stacked above a powerset's top: (new labels, covers
+# among them); None stands for the powerset's top.
+STACKS = {
+    "M3": (["x", "y", "z", "1"],
+           [(None, "x"), (None, "y"), (None, "z"), ("x", "1"), ("y", "1"), ("z", "1")]),
+    "N5": (["p", "q", "r", "1"],
+           [(None, "p"), ("p", "q"), ("q", "1"), (None, "r"), ("r", "1")]),
+}
+
+
+def stacked_lattice(k, shape):
+    """Powerset of k generators with M3 or N5 stacked above its top."""
+    base = ls.powerset_lattice([f"g{i}" for i in range(k)])
+    top = base.labels[base.top_id]
+    extras, links = STACKS[shape]
+    covers = base.cover_pairs() + [(lo or top, hi) for lo, hi in links]
+    return ls.build_lattice(list(base.labels) + extras, covers)

@@ -252,3 +252,57 @@ def test_enum_cap_env_var_must_be_an_integer(fixture_dir):
     assert out.returncode == 1
     assert out.stderr.count("\n") == 1
     assert out.stderr.startswith("ERROR FormatError:")
+
+
+def test_lattice_check_on_non_utf8_file(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"elements": ["\xff"], "covers": []}')
+    out = run_cli("lattice-check", str(path))
+    assert out.returncode == 1
+    assert out.stderr.count("\n") == 1
+    assert out.stderr.startswith("ERROR FormatError:")
+
+
+def test_lattice_check_on_string_elements(tmp_path):
+    path = tmp_path / "string.json"
+    path.write_text('{"elements": "ab", "covers": []}')
+    out = run_cli("lattice-check", str(path))
+    assert out.returncode == 1
+    assert out.stderr.count("\n") == 1
+    assert out.stderr.startswith("ERROR InvalidElement:")
+
+
+# Output of the m2_scs fixture, frozen byte for byte.
+M2_DELTA_TABLE = "p∨¬p -> p∨¬p\np    -> ¬p\n¬p   -> p∨¬p\np∧¬p -> ¬p\n"
+M2_DELTA_JSON = """{
+ "group": [
+  "1",
+  "2"
+ ],
+ "method": "tuple",
+ "delta": {
+  "p∨¬p": "p∨¬p",
+  "p": "¬p",
+  "¬p": "p∨¬p",
+  "p∧¬p": "¬p"
+ }
+}
+"""
+M2_GROUP_PROJECTIONS = {"p∨¬p": "¬p", "p": "¬p", "¬p": "p∧¬p", "p∧¬p": "p∧¬p"}
+
+
+@pytest.mark.parametrize("method", ["tuple", "subtract", "oracle"])
+def test_delta_golden_output(fixture_dir, method):
+    scs = str(fixture_dir / "m2_scs.json")
+    table = run_cli("delta", "--scs", scs, "--group", "1,2", "--method", method)
+    assert (table.returncode, table.stdout, table.stderr) == (0, M2_DELTA_TABLE, "")
+    doc = run_cli("delta", "--scs", scs, "--group", "1,2", "--method", method, "--emit", "json")
+    expected = M2_DELTA_JSON.replace('"tuple"', f'"{method}"')
+    assert (doc.returncode, doc.stdout, doc.stderr) == (0, expected, "")
+
+
+@pytest.mark.parametrize("at", sorted(M2_GROUP_PROJECTIONS))
+def test_project_group_golden_output(fixture_dir, at):
+    scs = str(fixture_dir / "m2_scs.json")
+    out = run_cli("project", "--scs", scs, "--group", "1,2", "--kind", "group", "--at", at)
+    assert (out.returncode, out.stdout, out.stderr) == (0, M2_GROUP_PROJECTIONS[at] + "\n", "")

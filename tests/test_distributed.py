@@ -1,11 +1,16 @@
 import itertools
 import random
+from functools import reduce
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import latspace as ls
 from latspace.distributed import pair_formula_images
 from latspace.errors import NotDistributive, TooLarge, UnknownAgent
+
+from conftest import STACKS, stacked_lattice
 
 
 def naive_pair_formula(lat, f, g):
@@ -20,6 +25,21 @@ def naive_pair_formula(lat, f, g):
                     acc = lat.meet_table[acc, val]
         out.append(int(acc))
     return out
+
+
+def subtract_recursion_reference(lat, f_images, g_images):
+    """Element-by-element subtraction recursion: for each c, the meet of
+    f(a) join g(c minus a) over a below c."""
+    sub = lat.subtract_table
+    join = lat.join_rows
+    meet = lat.meet_rows
+    images = []
+    for c in range(lat.n):
+        acc = lat.top_id
+        for a in lat.down_ids(c):
+            acc = meet[acc][join[f_images[a]][g_images[sub[c][a]]]]
+        images.append(acc)
+    return tuple(images)
 
 
 FROZEN_M2_TABLE = (0, 2, 0, 2)  # bottom, ¬p, bottom, ¬p
@@ -167,7 +187,7 @@ def test_delta_general_matches_fold_on_distributive():
         fs = [ls.random_space_function(lat, rng) for _ in range(2)]
         scs = ls.Scs(lat, {"1": fs[0], "2": fs[1]})
         assert (
-            ls.delta_general(lat, fs).images
+            ls.function_meet_oracle(lat, fs).images
             == ls.delta_group(scs, ["1", "2"]).images
         )
 
@@ -177,7 +197,7 @@ def test_delta_general_below_inputs_on_n5(n5):
     rng = random.Random(4)
     for _ in range(10):
         f, g = rng.choice(fs), rng.choice(fs)
-        meet = ls.delta_general(n5, [f, g])
+        meet = ls.function_meet_oracle(n5, [f, g])
         assert ls.function_leq(meet, f)
         assert ls.function_leq(meet, g)
 
@@ -197,11 +217,84 @@ def test_m3_general_vs_raw_formula(m3):
     # above the true meet; the oracle is the ground truth
     collapse_to_b = ls.SpaceFunction(m3, (0, 1, 1, 1, 1))
     ident = ls.identity_function(m3)
-    exact = ls.delta_general(m3, [collapse_to_b, ident])
+    exact = ls.function_meet_oracle(m3, [collapse_to_b, ident])
     raw, verdict = ls.delta_pair_raw(m3, collapse_to_b, ident)
     assert verdict is not None
     assert all(m3.leq[e, r] for e, r in zip(exact.images, raw))
     assert exact.images != tuple(raw)
+
+
+# -- the join-prime fold against its references -------------------------------------
+
+ORACLE_CAP = 3000  # enumeration candidates; above it the oracle check is skipped
+
+
+def assert_fold_matches_references(lat, rng, agents) -> bool:
+    """Checks the fold of random agents; returns whether the oracle ran."""
+    scs = ls.Scs(lat, {str(i): ls.random_space_function(lat, rng) for i in range(agents)})
+    names = sorted(scs.agents)
+    images = [scs.agent(x).images for x in names]
+    by_tuple = ls.delta_group(scs, names, "tuple").images
+    assert ls.delta_group(scs, names, "subtract").images == by_tuple
+    assert tuple(reduce(lambda acc, g: pair_formula_images(lat, acc, g), images)) == by_tuple
+    assert reduce(lambda acc, g: subtract_recursion_reference(lat, acc, g), images) == by_tuple
+    try:
+        exact = ls.function_meet_oracle(
+            lat, [scs.agent(x) for x in names], max_candidates=ORACLE_CAP
+        )
+    except TooLarge:
+        return False
+    assert exact.images == by_tuple
+    return True
+
+
+def oracle_event(checked: bool) -> None:
+    event("oracle checked" if checked else "oracle infeasible")
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10_000), agents=st.integers(2, 4))
+def test_fold_matches_references_on_random_downset_lattices(seed, agents):
+    rng = random.Random(seed)
+    lat = ls.random_distributive_lattice(rng, max_points=7)
+    oracle_event(assert_fold_matches_references(lat, rng, agents))
+
+
+@settings(max_examples=50, deadline=None)
+@given(k=st.integers(0, 4), seed=st.integers(0, 10_000), agents=st.integers(2, 4))
+def test_fold_matches_references_on_powersets(k, seed, agents):
+    lat = ls.powerset_lattice([f"g{i}" for i in range(k)])
+    oracle_event(assert_fold_matches_references(lat, random.Random(seed), agents))
+
+
+def test_fold_matches_references_on_m2_and_chain(canonical):
+    rng = random.Random(7)
+    for name in ("M2", "chain3"):
+        for agents in (2, 3, 4):
+            assert assert_fold_matches_references(canonical[name], rng, agents)
+
+
+def assert_fold_refuses(lat):
+    rng = random.Random(11)
+    f, g = ls.random_space_function(lat, rng), ls.random_space_function(lat, rng)
+    scs = ls.Scs(lat, {"1": f, "2": g})
+    for step in (ls.delta_pair, ls.delta_pair_subtract):
+        with pytest.raises(NotDistributive):
+            step(lat, f, g)
+    for method in ("tuple", "subtract"):
+        with pytest.raises(NotDistributive):
+            ls.delta_group(scs, ["1", "2"], method=method)
+
+
+@pytest.mark.parametrize("name", ["M3", "N5", "herbrand-xy-ab"])
+def test_fold_refuses_nondistributive_fixtures(canonical, name):
+    assert_fold_refuses(canonical[name])
+
+
+@pytest.mark.parametrize("k", range(5))
+@pytest.mark.parametrize("shape", sorted(STACKS))
+def test_fold_refuses_stacked_lattices(k, shape):
+    assert_fold_refuses(stacked_lattice(k, shape))
 
 
 # -- projections -------------------------------------------------------------------

@@ -94,6 +94,13 @@ def test_box_of_full_universe_is_full(two_state_model):
     assert ep.kripke_box(models, "1", full) == full
 
 
+def test_kripke_model_leaves_the_valuation_unchanged():
+    valuation = {"s": {"p": 1}}
+    m = ep.KripkeModel(("s", "t"), ("p", "q"), valuation, {"1": frozenset()})
+    assert valuation == {"s": {"p": 1}}
+    assert m.valuation == {"s": {"p": 1, "q": 0}, "t": {"p": 0, "q": 0}}
+
+
 def test_box_with_empty_relation_is_full():
     m = ep.KripkeModel(("s", "t"), ("p",), {}, {"1": frozenset()})
     full = frozenset(ep.pointed_states([m]))

@@ -14,24 +14,7 @@ from latspace.errors import (
     TooLarge,
 )
 
-
-# Non-distributive shapes stacked above a powerset's top: (new labels, covers
-# among them); None stands for the powerset's top.
-STACKS = {
-    "M3": (["x", "y", "z", "1"],
-           [(None, "x"), (None, "y"), (None, "z"), ("x", "1"), ("y", "1"), ("z", "1")]),
-    "N5": (["p", "q", "r", "1"],
-           [(None, "p"), ("p", "q"), ("q", "1"), (None, "r"), ("r", "1")]),
-}
-
-
-def stacked_lattice(k, shape):
-    """Powerset of k generators with M3 or N5 stacked above its top."""
-    base = ls.powerset_lattice([f"g{i}" for i in range(k)])
-    top = base.labels[base.top_id]
-    extras, links = STACKS[shape]
-    covers = base.cover_pairs() + [(lo or top, hi) for lo, hi in links]
-    return ls.build_lattice(list(base.labels) + extras, covers)
+from conftest import STACKS, stacked_lattice
 
 
 @pytest.fixture(scope="module")
@@ -389,6 +372,12 @@ def test_json_round_trip(canonical, tmp_path):
 def test_from_json_rejects_malformed():
     with pytest.raises(InvalidElement):
         ls.FiniteLattice.from_json({"covers": []})
+
+
+@pytest.mark.parametrize("elements", ["ab", ["a", 1], {"a": "b"}, None])
+def test_from_json_rejects_elements_that_are_not_a_list_of_strings(elements):
+    with pytest.raises(InvalidElement):
+        ls.FiniteLattice.from_json({"elements": elements, "covers": []})
 
 
 def test_dual_swaps_everything(m2):
