@@ -27,13 +27,15 @@ from .spaces import (
     Scs,
     SpaceFunction,
     agent_projection,
+    enum_budget,
     enumerate_space_functions,
     function_meet_oracle,
     top_function,
     validate_space_function,
 )
 
-DEFAULT_MAX_TUPLES = 10**7
+# verify_gdc checks all 2^k groups of k agents, each against the oracle.
+MAX_GDC_AGENTS = 5
 
 METHODS = ("tuple", "subtract", "oracle")
 
@@ -134,26 +136,21 @@ def delta_pair_subtract(
     return SpaceFunction(lattice, tuple(values[:, 0].tolist()))
 
 
-def delta_tuples_direct(
-    scs: Scs,
-    group,
-    c: int,
-    *,
-    max_tuples: int = DEFAULT_MAX_TUPLES,
-) -> int:
+def delta_tuples_direct(scs: Scs, group, c: int) -> int:
     """Literal tuple-formula value at one element, by full enumeration.
 
     Meet over every |group|-tuple of elements whose join derives c of the
     join of the agents' images.  Exponential; the small-size oracle for
-    delta_group.
+    delta_group, bounded by the enumeration budget.
     """
     names = scs.group(group)
     lattice = scs.lattice
     c = lattice.check_id(c)
     n = lattice.n
     m = len(names)
-    if n**m > max_tuples:
-        raise TooLarge(f"{n}^{m} tuples exceeds the cap of {max_tuples}")
+    cap = enum_budget()
+    if n**m > cap:
+        raise TooLarge(f"{n}^{m} tuples exceeds the cap of {cap}")
     images = [scs.agent(name).images for name in names]
     join = lattice.join_rows
     meet = lattice.meet_rows
@@ -240,12 +237,7 @@ def join_projection(scs: Scs, group, c: int) -> int:
 
 def group_projection(scs: Scs, group, c: int, method: str = "tuple") -> int:
     """Join of every element the group's distributed space derives from c."""
-    lattice = scs.lattice
-    c = lattice.check_id(c)
-    dfun = delta_group(scs, group, method=method)
-    img = np.asarray(dfun.images, dtype=np.int32)
-    derivable = np.nonzero(lattice.leq[img, c])[0]
-    return lattice.join_of(derivable)
+    return agent_projection(delta_group(scs, group, method=method), c)
 
 
 # -- distribution-candidate verification ------------------------------------------
@@ -256,32 +248,24 @@ class GdcReport:
     ok: bool
     failures: list[str]
     checked_subsets: int
-    maximality_checked: bool
 
     def __str__(self) -> str:
         if self.ok:
-            extra = " incl. maximality" if self.maximality_checked else ""
-            return f"gdc ok over {self.checked_subsets} groups{extra}"
+            return f"gdc ok over {self.checked_subsets} groups incl. maximality"
         return "gdc FAILED: " + "; ".join(self.failures)
 
 
-def verify_gdc(
-    scs: Scs,
-    family: Mapping | DeltaFamily,
-    *,
-    max_agents: int = 5,
-    check_maximality: bool = True,
-    max_candidates: int | None = None,
-) -> GdcReport:
+def verify_gdc(scs: Scs, family: Mapping | DeltaFamily) -> GdcReport:
     """Check the distribution-candidate axioms on a family of functions.
 
     D.1 each member is a space function; D.2 singleton members equal the
-    agent functions; D.3 members shrink as groups grow.  When requested,
-    each member is also compared against the enumeration oracle for
-    maximality.  Expects a family entry for every subset of the agents.
+    agent functions; D.3 members shrink as groups grow.  Once these hold,
+    each member is compared against the enumeration oracle for
+    maximality; an oracle over its budget raises TooLarge.  Expects a
+    family entry for every subset of the agents.
     """
-    if len(scs.agents) > max_agents:
-        raise TooLarge(f"{len(scs.agents)} agents exceeds the cap of {max_agents}")
+    if len(scs.agents) > MAX_GDC_AGENTS:
+        raise TooLarge(f"{len(scs.agents)} agents exceeds the cap of {MAX_GDC_AGENTS}")
     cache = family.cache if isinstance(family, DeltaFamily) else dict(family)
     entries: dict[frozenset, object] = {frozenset(k): v for k, v in cache.items()}
     lattice = scs.lattice
@@ -296,7 +280,7 @@ def verify_gdc(
     missing = [s for s in subsets if s not in entries]
     if missing:
         failures.append(f"family has no entry for group {sorted(missing[0])}")
-        return GdcReport(False, failures, 0, False)
+        return GdcReport(False, failures, 0)
 
     def images_of(value) -> tuple[int, ...]:
         if isinstance(value, SpaceFunction):
@@ -331,25 +315,17 @@ def verify_gdc(
                     )
                     break
 
-    maximality_checked = False
-    if not failures and check_maximality:
-        try:
-            for key in subsets:
-                exact = function_meet_oracle(
-                    lattice, [scs.agent(i) for i in sorted(key)], max_candidates=max_candidates
+    if not failures:
+        for key in subsets:
+            exact = function_meet_oracle(lattice, [scs.agent(i) for i in sorted(key)])
+            if images_of(entries[key]) != exact.images:
+                failures.append(
+                    f"maximality fails for group {sorted(key)}: entry differs "
+                    "from the enumerated meet"
                 )
-                if images_of(entries[key]) != exact.images:
-                    failures.append(
-                        f"maximality fails for group {sorted(key)}: entry differs "
-                        "from the enumerated meet"
-                    )
-                    break
-            else:
-                maximality_checked = True
-        except TooLarge:
-            maximality_checked = False
+                break
 
-    return GdcReport(not failures, failures, len(subsets), maximality_checked)
+    return GdcReport(not failures, failures, len(subsets))
 
 
 # -- survey of the pair formula on non-distributive lattices -----------------------
@@ -389,19 +365,14 @@ class TupleFormulaSurvey:
         )
 
 
-def survey_tuple_formula(
-    lattice: FiniteLattice,
-    name: str = "lattice",
-    *,
-    max_candidates: int | None = None,
-) -> TupleFormulaSurvey:
+def survey_tuple_formula(lattice: FiniteLattice, name: str = "lattice") -> TupleFormulaSurvey:
     """Apply the raw pair formula to every unordered pair of space functions.
 
     Records every pair whose formula output breaks the space axioms (such
     pairs witness that distributivity is needed for the formula to compute
     function meets) and whether the output stayed monotone throughout.
     """
-    fs = enumerate_space_functions(lattice, max_candidates=max_candidates)
+    fs = enumerate_space_functions(lattice)
     violations = []
     monotone = True
     pair_count = 0

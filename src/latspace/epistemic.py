@@ -18,11 +18,11 @@ from typing import Iterable, Sequence
 
 from .distributed import DeltaFamily
 from .errors import InvalidElement, TooLarge, UnknownAgent, UnknownProp
-from .lattice import FiniteLattice, powerset_lattice
+from .lattice import MAX_ELEMENTS, FiniteLattice, powerset_lattice
 from .spaces import Scs, SpaceFunction
 
+# Kripke and Aumann universes; the induced lattice has 2^k elements.
 MAX_POINTED_STATES = 4
-MAX_BOOLEAN_PROPS = 4
 
 
 # -- formulas ------------------------------------------------------------------
@@ -160,6 +160,15 @@ def parse_formula(text: str) -> Formula:
     return node
 
 
+def _json_list(value, what: str, length: int | None = None) -> list:
+    """A JSON array, of `length` entries when given.  Strings are refused:
+    iterating one would split it into characters."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        size = "" if length is None else f" of {length} entries"
+        raise InvalidElement(f"{what} must be a list{size}, got {value!r}")
+    return value
+
+
 # -- reverse-inclusion powerset scaffolding --------------------------------------
 
 
@@ -170,12 +179,7 @@ class SetLattice:
     complement (formula negation) stays inside the lattice.
     """
 
-    def __init__(self, universe_labels: Sequence[str], *, max_universe: int = MAX_POINTED_STATES):
-        if len(universe_labels) > max_universe:
-            raise TooLarge(
-                f"universe of {len(universe_labels)} exceeds the cap of "
-                f"{max_universe} (lattice would have 2^{len(universe_labels)} elements)"
-            )
+    def __init__(self, universe_labels: Sequence[str]):
         self.universe = tuple(universe_labels)
         self.lattice = powerset_lattice(self.universe).dual()
         self.full_mask = (1 << len(self.universe)) - 1
@@ -246,22 +250,22 @@ class BooleanCs:
         raise InvalidElement(f"not a propositional formula: {formula!r}")
 
 
-def boolean_cs(props: Sequence[str], *, max_props: int = MAX_BOOLEAN_PROPS) -> BooleanCs:
+def boolean_cs(props: Sequence[str]) -> BooleanCs:
     """Powerset of all truth assignments ordered by reverse inclusion.
 
     The lattice has 2^(2^k) elements, so only tiny prop sets are
-    representable; with default caps k <= 2 builds directly and k = 3
-    needs the element cap raised.
+    representable: k <= 3 (256 elements) fits the element cap.
     """
     props = tuple(str(p) for p in props)
     if len(set(props)) != len(props):
         raise InvalidElement("propositions must be distinct")
-    if len(props) > max_props:
-        raise TooLarge(f"{len(props)} props exceeds the cap of {max_props}")
     count = 1 << len(props)
+    if count > MAX_ELEMENTS.bit_length() - 1:  # 2^count > MAX_ELEMENTS
+        raise TooLarge(
+            f"{len(props)} props give 2^{count} elements, cap is {MAX_ELEMENTS}"
+        )
     labels = ["".join(str(b >> i & 1) for i in range(len(props))) for b in range(count)]
-    # The lattice has 2^count elements; the powerset element cap still applies.
-    return BooleanCs(props, SetLattice(labels, max_universe=16))
+    return BooleanCs(props, SetLattice(labels))
 
 
 # -- Kripke models --------------------------------------------------------------
@@ -301,14 +305,17 @@ class KripkeModel:
     @classmethod
     def from_json(cls, doc: dict) -> "KripkeModel":
         try:
-            states = tuple(str(s) for s in doc["states"])
-            props = tuple(str(p) for p in doc.get("props", []))
+            states = tuple(str(s) for s in _json_list(doc["states"], '"states"'))
+            props = tuple(str(p) for p in _json_list(doc.get("props", []), '"props"'))
             val = {
                 str(s): {str(p): int(v) for p, v in row.items()}
                 for s, row in doc.get("val", {}).items()
             }
             rel = {
-                str(agent): frozenset((str(s), str(t)) for s, t in pairs)
+                str(agent): frozenset(
+                    tuple(str(s) for s in _json_list(pair, "a relation pair", 2))
+                    for pair in _json_list(pairs, "a relation")
+                )
                 for agent, pairs in doc.get("rel", {}).items()
             }
         except (KeyError, TypeError, ValueError) as exc:
@@ -436,9 +443,7 @@ class KripkeScs:
         raise InvalidElement(f"unsupported formula node {formula!r}")
 
 
-def kripke_to_scs(
-    models: Sequence[KripkeModel], *, max_pointed: int = MAX_POINTED_STATES
-) -> KripkeScs:
+def kripke_to_scs(models: Sequence[KripkeModel]) -> KripkeScs:
     """Build the induced agent system of a set of Kripke models.
 
     The universe is the disjoint union of pointed states; each agent map
@@ -448,9 +453,9 @@ def kripke_to_scs(
     if not models:
         raise InvalidElement("need at least one Kripke model")
     pts = pointed_states(models)
-    if len(pts) > max_pointed:
+    if len(pts) > MAX_POINTED_STATES:
         raise TooLarge(
-            f"{len(pts)} pointed states exceeds the cap of {max_pointed}"
+            f"{len(pts)} pointed states exceeds the cap of {MAX_POINTED_STATES}"
         )
     labels = [
         (s if len(models) == 1 else f"m{i}:{s}") for i, s in pts
@@ -509,9 +514,12 @@ class AumannStructure:
     @classmethod
     def from_json(cls, doc: dict) -> "AumannStructure":
         try:
-            states = tuple(str(s) for s in doc["states"])
+            states = tuple(str(s) for s in _json_list(doc["states"], '"states"'))
             partitions = {
-                str(agent): tuple(frozenset(str(s) for s in block) for block in blocks)
+                str(agent): tuple(
+                    frozenset(str(s) for s in _json_list(block, "a partition block"))
+                    for block in _json_list(blocks, "a partition")
+                )
                 for agent, blocks in doc["partitions"].items()
             }
         except (KeyError, TypeError) as exc:
@@ -560,12 +568,10 @@ class AumannScs:
         return self.sets.set_of(element)
 
 
-def aumann_to_scs(
-    a: AumannStructure, *, max_states: int = MAX_POINTED_STATES
-) -> AumannScs:
+def aumann_to_scs(a: AumannStructure) -> AumannScs:
     """Induced agent system: events under reverse inclusion, knowledge maps."""
-    if len(a.states) > max_states:
-        raise TooLarge(f"{len(a.states)} states exceeds the cap of {max_states}")
+    if len(a.states) > MAX_POINTED_STATES:
+        raise TooLarge(f"{len(a.states)} states exceeds the cap of {MAX_POINTED_STATES}")
     sets = SetLattice(list(a.states))
     agents = {}
     for agent in sorted(a.partitions):

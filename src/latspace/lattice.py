@@ -20,7 +20,9 @@ import numpy as np
 
 from .errors import InvalidElement, NotALattice, NotAntisymmetric, TooLarge
 
-DEFAULT_MAX_ELEMENTS = 4096
+# Largest lattice built.  Construction is super-quadratic: a powerset
+# builds in about 11 s at 1024 elements and 84 s at 2048 (see README).
+MAX_ELEMENTS = 1024
 
 
 def _pack_rows(mat: np.ndarray) -> np.ndarray:
@@ -38,13 +40,12 @@ class FiniteLattice:
         bottom_id, top_id: ids of the least and greatest elements.
     """
 
-    def __init__(self, labels, leq, *, max_elements: int = DEFAULT_MAX_ELEMENTS):
+    def __init__(self, labels, leq):
         labels = tuple(str(x) for x in labels)
         n = len(labels)
         if n == 0:
             raise NotALattice("a lattice needs at least one element")
-        if n > max_elements:
-            raise TooLarge(f"{n} elements exceeds the cap of {max_elements}")
+        _check_elements(n)
         if len(set(labels)) != n:
             raise InvalidElement("element labels must be distinct")
         leq = np.asarray(leq, dtype=bool)
@@ -297,7 +298,7 @@ class FiniteLattice:
 
     def dual(self) -> "FiniteLattice":
         """The same elements under the reversed order (joins become meets)."""
-        return FiniteLattice(self.labels, self.leq.T, max_elements=self.n)
+        return FiniteLattice(self.labels, self.leq.T)
 
     # -- serialization ----------------------------------------------------------
 
@@ -322,23 +323,35 @@ class FiniteLattice:
             fh.write("\n")
 
     @classmethod
-    def from_json(cls, doc: dict, *, max_elements: int = DEFAULT_MAX_ELEMENTS):
+    def from_json(cls, doc: dict):
         try:
-            labels = doc["elements"]
-            covers = [tuple(pair) for pair in doc["covers"]]
+            labels, covers = doc["elements"], doc["covers"]
         except (KeyError, TypeError) as exc:
             raise InvalidElement(f"malformed lattice document: {exc}") from None
-        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+        if not _is_str_list(labels):
             raise InvalidElement('"elements" must be a list of strings')
-        return build_lattice(labels, covers, max_elements=max_elements)
+        if not isinstance(covers, list) or not all(
+            _is_str_list(pair) and len(pair) == 2 for pair in covers
+        ):
+            raise InvalidElement('"covers" must be a list of two-string lists')
+        return build_lattice(labels, covers)
 
     @classmethod
-    def load(cls, path, *, max_elements: int = DEFAULT_MAX_ELEMENTS):
+    def load(cls, path):
         with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh), max_elements=max_elements)
+            return cls.from_json(json.load(fh))
 
 
-def build_lattice(labels, covers, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> FiniteLattice:
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
+def _check_elements(n: int) -> None:
+    if n > MAX_ELEMENTS:
+        raise TooLarge(f"{n} elements exceeds the cap of {MAX_ELEMENTS}")
+
+
+def build_lattice(labels, covers) -> FiniteLattice:
     """Build a lattice from its cover relation (pairs of labels, low first).
 
     The reflexive-transitive closure is computed here; the constructor then
@@ -349,6 +362,7 @@ def build_lattice(labels, covers, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -
     if len(index) != len(labels):
         raise InvalidElement("element labels must be distinct")
     n = len(labels)
+    _check_elements(n)
     leq = np.eye(n, dtype=bool)
     for lo, hi in covers:
         if lo not in index or hi not in index:
@@ -357,7 +371,7 @@ def build_lattice(labels, covers, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -
     # Warshall closure; antisymmetry violations surface in the constructor.
     for k in range(n):
         leq |= leq[:, k : k + 1] & leq[k : k + 1, :]
-    return FiniteLattice(labels, leq, max_elements=max_elements)
+    return FiniteLattice(labels, leq)
 
 
 def subset_labels(ground, masks) -> list[str]:
@@ -369,12 +383,7 @@ def subset_labels(ground, masks) -> list[str]:
     return out
 
 
-def powerset_lattice(
-    ground,
-    *,
-    max_ground: int = 16,
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
-) -> FiniteLattice:
+def powerset_lattice(ground) -> FiniteLattice:
     """Powerset of `ground` ordered by inclusion; join is union.
 
     Element ids are subset bitmasks over the ground order, so id 0 is the
@@ -383,14 +392,11 @@ def powerset_lattice(
     ground = [str(x) for x in ground]
     if len(set(ground)) != len(ground):
         raise InvalidElement("ground labels must be distinct")
-    if len(ground) > max_ground:
-        raise TooLarge(f"ground of {len(ground)} exceeds the cap of {max_ground}")
     n = 1 << len(ground)
-    if n > max_elements:
-        raise TooLarge(f"powerset would have {n} elements, cap is {max_elements}")
+    _check_elements(n)
     masks = np.arange(n, dtype=np.int64)
     leq = (masks[:, None] & ~masks[None, :]) == 0
-    return FiniteLattice(subset_labels(ground, range(n)), leq, max_elements=max_elements)
+    return FiniteLattice(subset_labels(ground, range(n)), leq)
 
 
 def chain_lattice(k: int) -> FiniteLattice:
@@ -401,7 +407,7 @@ def chain_lattice(k: int) -> FiniteLattice:
     return build_lattice(labels, [(labels[i], labels[i + 1]) for i in range(k - 1)])
 
 
-def downset_lattice(poset_leq: np.ndarray, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> FiniteLattice:
+def downset_lattice(poset_leq: np.ndarray) -> FiniteLattice:
     """Lattice of downward-closed subsets of a poset, ordered by inclusion.
 
     Always distributive; used to generate distributive test lattices from
@@ -419,11 +425,11 @@ def downset_lattice(poset_leq: np.ndarray, *, max_elements: int = DEFAULT_MAX_EL
         )
         if ok:
             downsets.append(mask)
-    n = len(downsets)
+    _check_elements(len(downsets))
     arr = np.array(downsets, dtype=np.int64)
     leq = (arr[:, None] & ~arr[None, :]) == 0
     labels = subset_labels([f"e{i}" for i in range(k)], downsets)
-    return FiniteLattice(labels, leq, max_elements=max_elements)
+    return FiniteLattice(labels, leq)
 
 
 _HERBRAND_TERMS = ("x", "y", "a", "b")
@@ -500,9 +506,9 @@ def herbrand_xy_ab() -> FiniteLattice:
     return FiniteLattice(labels, leq)
 
 
-def random_distributive_lattice(rng, *, max_points: int = 4) -> FiniteLattice:
-    """Downset lattice of a seeded random poset on at most `max_points` points."""
-    k = rng.randint(1, max_points)
+def random_distributive_lattice(rng, *, points: int = 4) -> FiniteLattice:
+    """Downset lattice of a seeded random poset on 1 to `points` points."""
+    k = rng.randint(1, points)
     leq = np.eye(k, dtype=bool)
     for i in range(k):
         for j in range(i + 1, k):

@@ -222,8 +222,6 @@ def enumeration_size_estimate(
 def iter_space_functions(
     lattice: FiniteLattice,
     below: Sequence[SpaceFunction] | None = None,
-    *,
-    max_candidates: int | None = None,
 ) -> Iterator[SpaceFunction]:
     """Generate every space function on the lattice, in a deterministic order.
 
@@ -237,7 +235,7 @@ def iter_space_functions(
     if below:
         if any(f.lattice is not lattice for f in below):
             raise LatticeMismatch("bounds live on a different lattice")
-    cap = max_candidates if max_candidates is not None else _enum_cap()
+    cap = enum_budget()
     estimate = enumeration_size_estimate(lattice, below)
     if estimate > cap:
         raise TooLarge(
@@ -283,29 +281,27 @@ def iter_space_functions(
 def enumerate_space_functions(
     lattice: FiniteLattice,
     below: Sequence[SpaceFunction] | None = None,
-    *,
-    max_candidates: int | None = None,
 ) -> list[SpaceFunction]:
-    return list(iter_space_functions(lattice, below, max_candidates=max_candidates))
+    return list(iter_space_functions(lattice, below))
 
 
-def function_meet_oracle(
-    lattice: FiniteLattice,
-    fs: Sequence[SpaceFunction],
-    *,
-    max_candidates: int | None = None,
-) -> SpaceFunction:
+def function_meet_oracle(lattice: FiniteLattice, fs: Sequence[SpaceFunction]) -> SpaceFunction:
     """Exact meet in the lattice of space functions, by brute enumeration.
 
     Point-wise join of every space function below all of `fs`; with no
     bounds this is the join of all space functions, the least space.
     Correct on arbitrary finite lattices, feasible only on small ones.
     """
-    members = enumerate_space_functions(lattice, fs or None, max_candidates=max_candidates)
+    members = enumerate_space_functions(lattice, fs or None)
     return pointwise_join(members)
 
 
-def _enum_cap() -> int:
+def enum_budget() -> int:
+    """Enumeration budget: LATSPACE_MAX_ENUM if set, else DEFAULT_MAX_ENUM.
+
+    Bounds the candidates of the enumeration oracle and the tuples of
+    the direct tuple scan.
+    """
     raw = os.environ.get("LATSPACE_MAX_ENUM")
     if not raw:
         return DEFAULT_MAX_ENUM

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -267,6 +268,47 @@ def test_lattice_check_on_string_elements(tmp_path):
     path = tmp_path / "string.json"
     path.write_text('{"elements": "ab", "covers": []}')
     out = run_cli("lattice-check", str(path))
+    assert out.returncode == 1
+    assert out.stderr.count("\n") == 1
+    assert out.stderr.startswith("ERROR InvalidElement:")
+
+
+@pytest.mark.parametrize("covers", ['[["a"]]', '[["a", "b", "c"]]', '"ab"'])
+def test_lattice_check_on_malformed_covers(tmp_path, covers):
+    path = tmp_path / "covers.json"
+    path.write_text(f'{{"elements": ["a", "b"], "covers": {covers}}}')
+    out = run_cli("lattice-check", str(path))
+    assert out.returncode == 1
+    assert out.stderr.count("\n") == 1
+    assert out.stderr.startswith("ERROR InvalidElement:")
+
+
+def test_lattice_check_over_the_element_cap_fails_fast(tmp_path):
+    labels = [str(i) for i in range(5000)]
+    doc = {"elements": labels, "covers": [[a, b] for a, b in zip(labels, labels[1:])]}
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    t0 = time.monotonic()
+    out = run_cli("lattice-check", str(path))
+    assert time.monotonic() - t0 < 5.0
+    assert out.returncode == 1
+    assert out.stderr.count("\n") == 1
+    assert out.stderr.startswith("ERROR TooLarge:")
+
+
+def test_kripke_relation_pairs_given_as_strings(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text('{"states": ["s", "u"], "props": ["p"], "rel": {"1": ["su", "us"]}}')
+    out = run_cli("kripke", "--model", str(path), "--formula", "[]1 p")
+    assert out.returncode == 1
+    assert out.stderr.count("\n") == 1
+    assert out.stderr.startswith("ERROR InvalidElement:")
+
+
+def test_aumann_blocks_given_as_strings(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text('{"states": ["a", "b", "c"], "partitions": {"1": ["ab", "c"]}}')
+    out = run_cli("aumann", "--model", str(path), "--group", "1", "--event", "a,b")
     assert out.returncode == 1
     assert out.stderr.count("\n") == 1
     assert out.stderr.startswith("ERROR InvalidElement:")

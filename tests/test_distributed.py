@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import latspace as ls
 from latspace.distributed import pair_formula_images
+from latspace.spaces import enumeration_size_estimate
 from latspace.errors import NotDistributive, TooLarge, UnknownAgent
 
 from conftest import STACKS, stacked_lattice
@@ -175,9 +176,12 @@ def test_delta_tuples_direct_values(m2_scs):
     assert ls.delta_tuples_direct(m2_scs, ["1", "2"], lat.top_id) == lat.id_of("¬p")
 
 
-def test_delta_tuples_direct_cap(m2_scs):
+def test_delta_tuples_direct_cap(m2_scs, monkeypatch):
+    monkeypatch.setenv("LATSPACE_MAX_ENUM", "3")
     with pytest.raises(TooLarge):
-        ls.delta_tuples_direct(m2_scs, ["1", "2"], 0, max_tuples=3)
+        ls.delta_tuples_direct(m2_scs, ["1", "2"], 0)
+    monkeypatch.setenv("LATSPACE_MAX_ENUM", "16")
+    assert ls.delta_tuples_direct(m2_scs, ["1", "2"], 0) == FROZEN_M2_TABLE[0]
 
 
 def test_delta_general_matches_fold_on_distributive():
@@ -238,13 +242,10 @@ def assert_fold_matches_references(lat, rng, agents) -> bool:
     assert ls.delta_group(scs, names, "subtract").images == by_tuple
     assert tuple(reduce(lambda acc, g: pair_formula_images(lat, acc, g), images)) == by_tuple
     assert reduce(lambda acc, g: subtract_recursion_reference(lat, acc, g), images) == by_tuple
-    try:
-        exact = ls.function_meet_oracle(
-            lat, [scs.agent(x) for x in names], max_candidates=ORACLE_CAP
-        )
-    except TooLarge:
+    fs = [scs.agent(x) for x in names]
+    if enumeration_size_estimate(lat, fs) > ORACLE_CAP:
         return False
-    assert exact.images == by_tuple
+    assert ls.function_meet_oracle(lat, fs).images == by_tuple
     return True
 
 
@@ -256,7 +257,7 @@ def oracle_event(checked: bool) -> None:
 @given(seed=st.integers(0, 10_000), agents=st.integers(2, 4))
 def test_fold_matches_references_on_random_downset_lattices(seed, agents):
     rng = random.Random(seed)
-    lat = ls.random_distributive_lattice(rng, max_points=7)
+    lat = ls.random_distributive_lattice(rng, points=7)
     oracle_event(assert_fold_matches_references(lat, rng, agents))
 
 
@@ -444,7 +445,8 @@ def test_subgroup_bound_property_powerset3():
 
 def test_verify_gdc_accepts_the_computed_family(m2_scs):
     report = ls.verify_gdc(m2_scs, _family_over(m2_scs))
-    assert report.ok and report.maximality_checked
+    assert report.ok
+    assert str(report) == "gdc ok over 4 groups incl. maximality"
     assert report.checked_subsets == 4
 
 
@@ -461,7 +463,7 @@ def test_verify_gdc_flags_d3_violation(m2_scs):
     family = _family_over(m2_scs)
     entries = dict(family.cache)
     entries[frozenset(["1", "2"])] = ls.top_function(m2_scs.lattice)
-    report = ls.verify_gdc(m2_scs, entries, check_maximality=False)
+    report = ls.verify_gdc(m2_scs, entries)
     assert not report.ok
     assert any("D.3" in f for f in report.failures)
 
@@ -470,7 +472,7 @@ def test_verify_gdc_flags_d1_violation(m2_scs):
     family = _family_over(m2_scs)
     entries = {k: v.images for k, v in family.cache.items()}
     entries[frozenset(["1", "2"])] = (0, 1, 0, 3)  # breaks join preservation
-    report = ls.verify_gdc(m2_scs, entries, check_maximality=False)
+    report = ls.verify_gdc(m2_scs, entries)
     assert not report.ok
     assert any("D.1" in f for f in report.failures)
 
@@ -479,9 +481,16 @@ def test_verify_gdc_flags_d2_violation(m2_scs):
     family = _family_over(m2_scs)
     entries = dict(family.cache)
     entries[frozenset(["1"])] = ls.identity_function(m2_scs.lattice)
-    report = ls.verify_gdc(m2_scs, entries, check_maximality=False)
+    report = ls.verify_gdc(m2_scs, entries)
     assert not report.ok
     assert any("D.2" in f for f in report.failures)
+
+
+def test_verify_gdc_propagates_the_oracle_budget(m2_scs, monkeypatch):
+    family = _family_over(m2_scs)
+    monkeypatch.setenv("LATSPACE_MAX_ENUM", "1")
+    with pytest.raises(TooLarge):
+        ls.verify_gdc(m2_scs, family)
 
 
 def test_verify_gdc_missing_entry(m2_scs):

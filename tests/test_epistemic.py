@@ -158,6 +158,21 @@ def test_kripke_rejects_bad_relation():
         ep.KripkeModel(("s",), (), {}, {"1": frozenset({("s", "zz")})})
 
 
+KRIPKE_DOC = {"states": ["s", "u"], "props": ["p"], "rel": {"1": [["s", "u"]]}}
+
+
+@pytest.mark.parametrize("change", [
+    {"rel": {"1": ["su", "us"]}},
+    {"rel": {"1": [["s", "u", "s"]]}},
+    {"rel": {"1": "su"}},
+    {"states": "su"},
+    {"props": "p"},
+])
+def test_kripke_from_json_rejects_strings_and_bad_pairs(change):
+    with pytest.raises(InvalidElement):
+        ep.KripkeModel.from_json({**KRIPKE_DOC, **change})
+
+
 def test_kripke_json_round_trip(two_state_model, tmp_path):
     doc = {
         "states": ["s", "t"],
@@ -341,6 +356,19 @@ def test_aumann_partition_validation():
         ep.AumannStructure(
             ("1", "2"), {"1": (frozenset({"1", "2"}), frozenset({"2"}))}
         )  # overlap
+
+
+AUMANN_DOC = {"states": ["a", "b", "c"], "partitions": {"1": [["a", "b"], ["c"]]}}
+
+
+@pytest.mark.parametrize("change", [
+    {"partitions": {"1": ["ab", "c"]}},
+    {"partitions": {"1": "abc"}},
+    {"states": "abc"},
+])
+def test_aumann_from_json_rejects_strings(change):
+    with pytest.raises(InvalidElement):
+        ep.AumannStructure.from_json({**AUMANN_DOC, **change})
 
 
 def test_aumann_to_scs_closure_operators(grid_structure):

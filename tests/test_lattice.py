@@ -147,7 +147,7 @@ def test_derived_structures_agree_on_fixtures(lattices, name):
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_derived_structures_agree_on_random_downset_lattices(seed):
-    lat = ls.random_distributive_lattice(random.Random(seed), max_points=7)
+    lat = ls.random_distributive_lattice(random.Random(seed), points=7)
     assert_derived_structures_agree(lat)
 
 
@@ -203,7 +203,9 @@ def test_powerset_caps():
     with pytest.raises(TooLarge):
         ls.powerset_lattice([str(i) for i in range(17)])
     with pytest.raises(TooLarge):
-        ls.powerset_lattice([str(i) for i in range(13)])  # 8192 > 4096 elements
+        ls.powerset_lattice([str(i) for i in range(13)])  # 8192 > 1024 elements
+    with pytest.raises(TooLarge):
+        ls.powerset_lattice([str(i) for i in range(11)])  # 2048 > 1024 elements
 
 
 def test_chain_lattices():
@@ -380,6 +382,14 @@ def test_from_json_rejects_elements_that_are_not_a_list_of_strings(elements):
         ls.FiniteLattice.from_json({"elements": elements, "covers": []})
 
 
+@pytest.mark.parametrize("covers", [
+    [["a"]], [["a", "b", "c"]], "ab", [["a", 1]], [("a", "b")], [{"a": "b"}], None,
+])
+def test_from_json_rejects_covers_that_are_not_two_string_lists(covers):
+    with pytest.raises(InvalidElement):
+        ls.FiniteLattice.from_json({"elements": ["a", "b"], "covers": covers})
+
+
 def test_dual_swaps_everything(m2):
     dual = m2.dual()
     assert dual.bottom_id == m2.top_id
@@ -391,4 +401,6 @@ def test_dual_swaps_everything(m2):
 
 def test_element_cap():
     with pytest.raises(TooLarge):
-        ls.build_lattice(["a", "b"], [("a", "b")], max_elements=1)
+        ls.build_lattice([str(i) for i in range(1025)], [])
+    with pytest.raises(TooLarge):
+        ls.downset_lattice(np.eye(11, dtype=bool))  # 2048 downsets of an antichain

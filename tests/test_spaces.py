@@ -196,10 +196,11 @@ def test_enumeration_is_deterministic(m3):
     assert first == second
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
     lat = ls.powerset_lattice(["a", "b", "c", "d"])
+    monkeypatch.setenv("LATSPACE_MAX_ENUM", "10")
     with pytest.raises(TooLarge) as err:
-        ls.enumerate_space_functions(lat, max_candidates=10)
+        ls.enumerate_space_functions(lat)
     assert "candidates" in str(err.value)
 
 
