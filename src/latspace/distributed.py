@@ -172,16 +172,21 @@ def delta_tuples_direct(scs: Scs, group, c: int) -> int:
     return acc
 
 
+def subgroups(scs: Scs) -> list[tuple[str, ...]]:
+    """Every group of the system's agents, by size, then in name order."""
+    names = sorted(scs.agents)
+    return [g for r in range(len(names) + 1) for g in itertools.combinations(names, r)]
+
+
 @dataclass
 class DeltaFamily:
     """Write-once cache of distributed spaces, keyed by agent-name set."""
 
     scs: Scs
-    method: str = "tuple"
     cache: dict[frozenset, SpaceFunction] = field(default_factory=dict)
 
     def get(self, group) -> SpaceFunction:
-        return delta_group(self.scs, group, method=self.method, family=self)
+        return delta_group(self.scs, group, family=self)
 
 
 def delta_group(
@@ -235,9 +240,9 @@ def join_projection(scs: Scs, group, c: int) -> int:
     return scs.lattice.join_of([agent_projection(scs.agent(i), c) for i in names])
 
 
-def group_projection(scs: Scs, group, c: int, method: str = "tuple") -> int:
+def group_projection(scs: Scs, group, c: int) -> int:
     """Join of every element the group's distributed space derives from c."""
-    return agent_projection(delta_group(scs, group, method=method), c)
+    return agent_projection(delta_group(scs, group), c)
 
 
 # -- distribution-candidate verification ------------------------------------------
@@ -272,11 +277,7 @@ def verify_gdc(scs: Scs, family: Mapping | DeltaFamily) -> GdcReport:
     failures: list[str] = []
 
     names = sorted(scs.agents)
-    subsets = [
-        frozenset(combo)
-        for r in range(len(names) + 1)
-        for combo in itertools.combinations(names, r)
-    ]
+    subsets = [frozenset(g) for g in subgroups(scs)]
     missing = [s for s in subsets if s not in entries]
     if missing:
         failures.append(f"family has no entry for group {sorted(missing[0])}")

@@ -371,12 +371,9 @@ def kripke_dk(
     out = []
     for i, m in enumerate(models):
         for s in m.states:
-            if names:
-                successors = set(m.states)
-                for name in names:
-                    successors &= m.successors(name, s)
-            else:
-                successors = set(m.states)
+            successors = set(m.states)
+            for name in names:
+                successors &= m.successors(name, s)
             if all((i, t) in x for t in successors):
                 out.append((i, s))
     return frozenset(out)
@@ -390,7 +387,10 @@ class KripkeScs:
     pointed: tuple[PointedState, ...]
     sets: SetLattice
     scs: Scs
-    _families: dict[str, DeltaFamily] = field(default_factory=dict)
+    _family: DeltaFamily = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._family = DeltaFamily(self.scs)
 
     @property
     def lattice(self) -> FiniteLattice:
@@ -408,8 +408,7 @@ class KripkeScs:
         return frozenset(p for p in self.pointed if self.pointed_label(p) in labels)
 
     def delta(self, group) -> SpaceFunction:
-        family = self._families.setdefault("tuple", DeltaFamily(self.scs, "tuple"))
-        return family.get(group)
+        return self._family.get(group)
 
     def evaluate(self, formula: Formula) -> int:
         """Interpret a modal formula as its set of satisfying pointed states."""
@@ -582,59 +581,6 @@ def aumann_to_scs(a: AumannStructure) -> AumannScs:
             images.append(sum(1 << i for i, s in enumerate(a.states) if s in known))
         agents[agent] = SpaceFunction(sets.lattice, tuple(images))
     return AumannScs(a, sets, Scs(sets.lattice, agents))
-
-
-# -- seeded random instances ---------------------------------------------------------
-
-
-def random_kripke_models(rng, *, max_models: int = 2, max_states: int = 4) -> list[KripkeModel]:
-    """A seeded random model set with at most `max_states` pointed states."""
-    total = rng.randint(2, max_states)
-    count = 1 if total < 2 or max_models == 1 else rng.choice([1, 1, 2])
-    if count == 1:
-        split = [total]
-    else:
-        k = rng.randint(1, total - 1)
-        split = [k, total - k]
-    agents = [str(i + 1) for i in range(rng.randint(1, 3))]
-    props = ["p", "q"]
-    models = []
-    for mi, size in enumerate(split):
-        states = tuple(f"s{mi}{j}" for j in range(size))
-        val = {
-            s: {p: rng.randint(0, 1) for p in props} for s in states
-        }
-        rel = {}
-        for agent in agents:
-            pairs = frozenset(
-                (s, t)
-                for s in states
-                for t in states
-                if rng.random() < 0.45
-            )
-            rel[agent] = pairs
-        models.append(KripkeModel(states, tuple(props), val, rel))
-    return models
-
-
-def random_partition(rng, states: Sequence[str]) -> tuple[frozenset[str], ...]:
-    order = list(states)
-    rng.shuffle(order)
-    blocks: list[list[str]] = []
-    for s in order:
-        if blocks and rng.random() < 0.5:
-            rng.choice(blocks).append(s)
-        else:
-            blocks.append([s])
-    return tuple(frozenset(b) for b in blocks)
-
-
-def random_aumann(rng, *, max_states: int = 4) -> AumannStructure:
-    states = tuple(f"s{i}" for i in range(rng.randint(2, max_states)))
-    agents = [str(i + 1) for i in range(rng.randint(1, 3))]
-    return AumannStructure(
-        states, {a: random_partition(rng, states) for a in agents}
-    )
 
 
 def load_kripke_models(paths: Sequence[str]) -> list[KripkeModel]:

@@ -411,21 +411,22 @@ def downset_lattice(poset_leq: np.ndarray) -> FiniteLattice:
     """Lattice of downward-closed subsets of a poset, ordered by inclusion.
 
     Always distributive; used to generate distributive test lattices from
-    small random posets.
+    small random posets.  Downsets are bitmasks over the points, grown
+    from the empty set by adding one point whose predecessors are already
+    in, so the element cap stops the growth; ids follow ascending masks.
     """
     poset_leq = np.asarray(poset_leq, dtype=bool)
     k = poset_leq.shape[0]
-    downsets = []
-    for mask in range(1 << k):
-        ok = all(
-            not (mask >> j & 1) or (mask >> i & 1)
-            for i in range(k)
-            for j in range(k)
-            if poset_leq[i, j]
-        )
-        if ok:
-            downsets.append(mask)
-    _check_elements(len(downsets))
+    preds = [sum(1 << i for i in range(k) if i != j and poset_leq[i, j]) for j in range(k)]
+    seen, queue = {0}, [0]
+    for d in queue:  # the queue grows while it is read: breadth first
+        for j in range(k):
+            e = d | 1 << j
+            if e not in seen and preds[j] & ~d == 0:
+                seen.add(e)
+                queue.append(e)
+                _check_elements(len(seen))
+    downsets = sorted(seen)
     arr = np.array(downsets, dtype=np.int64)
     leq = (arr[:, None] & ~arr[None, :]) == 0
     labels = subset_labels([f"e{i}" for i in range(k)], downsets)

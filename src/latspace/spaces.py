@@ -29,7 +29,10 @@ from .errors import (
 )
 from .lattice import FiniteLattice
 
-DEFAULT_MAX_ENUM = 10**7
+# Enumeration candidates visited by the oracle.  Each costs a validated
+# extension, about 40 us on lattices of up to 16 elements, so the budget
+# takes about 10 s there (more on larger lattices; see README).
+DEFAULT_MAX_ENUM = 250_000
 
 
 class AxiomViolation(NamedTuple):

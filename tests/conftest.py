@@ -7,6 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import latspace as ls  # noqa: E402
+from latspace import selfcheck  # noqa: E402
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -19,6 +20,20 @@ def fixture_dir() -> Path:
 @pytest.fixture(scope="session")
 def canonical():
     return ls.fixtures()
+
+
+@pytest.fixture(scope="session")
+def space_functions(canonical):
+    """Every space function on each canonical lattice, enumerated once."""
+    return {name: ls.enumerate_space_functions(lat) for name, lat in canonical.items()}
+
+
+@pytest.fixture(scope="session")
+def selfcheck_lines():
+    """Output lines of one in-process `selfcheck --seed 7`."""
+    lines = []
+    selfcheck.run_selfcheck(7, emit=lines.append)
+    return lines
 
 
 @pytest.fixture(scope="session")

@@ -5,13 +5,12 @@ Each test prints a single PASS line with its measured numbers; run with
 asserted with wall-clock measurements.
 """
 
-import itertools
 import random
 import time
 
 import latspace as ls
-from latspace import epistemic as ep
 from latspace import morphology as mo
+from latspace import selfcheck as sc
 
 
 def report(line: str) -> None:
@@ -23,20 +22,9 @@ def report(line: str) -> None:
 
 def test_criterion_01_two_agent_table_reproduction(m2_scs):
     t0 = time.monotonic()
-    lat = m2_scs.lattice
-    f, g = m2_scs.agent("1"), m2_scs.agent("2")
-    expected = (0, 2, 0, 2)  # bottom, ¬p, bottom, ¬p
-    results = {
-        "pair": ls.delta_pair(lat, f, g).images,
-        "subtract": ls.delta_pair_subtract(lat, f, g).images,
-        "tuples": tuple(
-            ls.delta_tuples_direct(m2_scs, ["1", "2"], c) for c in range(lat.n)
-        ),
-        "oracle": ls.function_meet_oracle(lat, [f, g]).images,
-    }
+    pooled = sc.methods_agree([m2_scs])
     elapsed = time.monotonic() - t0
-    for how, got in results.items():
-        assert got == expected, f"{how} computed {got}"
+    assert pooled == [(0, 2, 0, 2)]  # bottom, ¬p, bottom, ¬p
     assert elapsed < 1.0
     report(
         f"PASS criterion 1: all four methods reproduce the table "
@@ -50,12 +38,8 @@ def test_criterion_01_two_agent_table_reproduction(m2_scs):
 def test_criterion_02_pointwise_meet_failure(m2_scs):
     t0 = time.monotonic()
     lat = m2_scs.lattice
-    raw = ls.pointwise_meet_raw([m2_scs.agent("1"), m2_scs.agent("2")])
-    violation = ls.validate_space_function(lat, raw)
+    sc.raw_meet_breaks_join(m2_scs, {lat.id_of("p"), lat.id_of("¬p")})
     elapsed = time.monotonic() - t0
-    assert violation is not None
-    assert violation.axiom == "S.2"
-    assert set(violation.witness) == {lat.id_of("p"), lat.id_of("¬p")}
     assert elapsed < 1.0
     report(
         f"PASS criterion 2: point-wise meet fails join preservation at "
@@ -66,41 +50,19 @@ def test_criterion_02_pointwise_meet_failure(m2_scs):
 # -- 3 -----------------------------------------------------------------------
 
 
-def _assert_all_methods_agree(scs, names):
-    lat = scs.lattice
-    exact = ls.function_meet_oracle(lat, [scs.agent(i) for i in names]).images
-    for method in ("tuple", "subtract", "oracle"):
-        got = ls.delta_group(scs, names, method=method).images
-        assert got == exact, f"method {method} disagrees"
-    return exact
-
-
 def test_criterion_03_oracle_equivalence(m2_scs):
     seed = 301
     rng = random.Random(seed)
     t0 = time.monotonic()
-    cases = 0
-
-    _assert_all_methods_agree(m2_scs, sorted(m2_scs.agents))
-    cases += 1
-
     lattices = [
         ls.powerset_lattice([f"g{i}" for i in range(k)]) for k in (2, 3, 4)
     ]
     lattices += [ls.chain_lattice(k) for k in (2, 3, 4, 5)]
     for _ in range(100):
         lattices.append(ls.random_distributive_lattice(rng))
-    for lat in lattices:
-        agents = {
-            str(i + 1): ls.random_space_function(lat, rng)
-            for i in range(rng.randint(2, 3))
-        }
-        scs = ls.Scs(lat, agents)
-        exact = _assert_all_methods_agree(scs, sorted(agents))
-        if lat.n ** len(agents) <= 10**6:
-            for c in range(lat.n):
-                assert ls.delta_tuples_direct(scs, sorted(agents), c) == exact[c]
-        cases += 1
+    systems = [m2_scs] + [sc.random_scs(lat, rng, rng.randint(2, 3)) for lat in lattices]
+    sc.methods_agree(systems)
+    cases = len(systems)
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
     report(
@@ -117,20 +79,9 @@ def test_criterion_04_distribution_candidate_suite():
     rng = random.Random(seed)
     t0 = time.monotonic()
     checked = 0
-    for trial in range(10):
+    for _ in range(10):
         lat = ls.random_distributive_lattice(rng)
-        scs = ls.Scs(
-            lat, {str(i): ls.random_space_function(lat, rng) for i in (1, 2, 3)}
-        )
-        family = ls.DeltaFamily(scs)
-        for r in range(4):
-            for combo in itertools.combinations(sorted(scs.agents), r):
-                family.get(combo)
-        assert len(family.cache) == 8
-        rep = ls.verify_gdc(scs, family)
-        assert rep.ok, f"trial {trial}: {rep}"
-        assert str(rep).endswith("incl. maximality")
-        checked += rep.checked_subsets
+        checked += sc.gdc_holds(sc.random_scs(lat, rng, 3)).checked_subsets
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
     report(
@@ -142,16 +93,8 @@ def test_criterion_04_distribution_candidate_suite():
 # -- 5 -----------------------------------------------------------------------
 
 
-def test_criterion_05a_agent_galois(canonical):
-    checks = 0
-    for name in ("M2", "M3", "N5", "chain3", "herbrand-xy-ab"):
-        lat = canonical[name]
-        for f in ls.enumerate_space_functions(lat):
-            for c in range(lat.n):
-                proj = ls.agent_projection(f, c)
-                for e in range(lat.n):
-                    assert bool(lat.leq[f.images[e], c]) == bool(lat.leq[e, proj])
-                    checks += 1
+def test_criterion_05a_agent_galois(space_functions):
+    checks = sc.agent_adjunction(space_functions)
     report(f"PASS criterion 5a: agent-level adjunction, {checks} checks, 0 violations")
 
 
@@ -159,58 +102,20 @@ def test_criterion_05b_group_galois(m2_scs):
     seed = 502
     rng = random.Random(seed)
     lat3 = ls.powerset_lattice(["a", "b", "c"])
-    systems = [
-        m2_scs,
-        ls.Scs(lat3, {str(i): ls.random_space_function(lat3, rng) for i in (1, 2, 3)}),
-    ]
-    checks = 0
-    for scs in systems:
-        lat = scs.lattice
-        names = sorted(scs.agents)
-        for r in range(len(names) + 1):
-            for group in itertools.combinations(names, r):
-                dfun = ls.delta_group(scs, group)
-                for c in range(lat.n):
-                    proj = ls.group_projection(scs, group, c)
-                    for e in range(lat.n):
-                        assert bool(lat.leq[dfun.images[e], c]) == bool(
-                            lat.leq[e, proj]
-                        )
-                        checks += 1
+    checks = sc.group_adjunction([m2_scs, sc.random_scs(lat3, rng, 3)])
     report(f"PASS criterion 5b: group-level adjunction, {checks} checks, 0 violations")
 
 
 def test_criterion_05c_morphology_galois():
     seed = 503
     rng = random.Random(seed)
-    checks = 0
-    for dim in (1, 2):
-        for _ in range(200):
-            se = mo.PointSet(
-                dim,
-                frozenset(
-                    tuple(rng.randint(-3, 3) for _ in range(dim))
-                    for _ in range(rng.randint(1, 4))
-                ),
-            )
-            x = mo.PointSet(
-                dim,
-                frozenset(
-                    tuple(rng.randint(-3, 3) for _ in range(dim))
-                    for _ in range(rng.randint(0, 5))
-                ),
-            )
-            y = mo.PointSet(
-                dim,
-                frozenset(
-                    tuple(rng.randint(-3, 3) for _ in range(dim))
-                    for _ in range(rng.randint(0, 5))
-                ),
-            )
-            lhs = mo.dilate(se, x).points <= y.points
-            rhs = x.points <= mo.erode(se, y).points
-            assert lhs == rhs
-            checks += 1
+    instances = [
+        (sc.random_pointset(rng, dim, (1, 4)), sc.random_pointset(rng, dim), sc.random_pointset(rng, dim))
+        for dim in (1, 2)
+        for _ in range(200)
+    ]
+    sc.dilation_adjunction(instances)
+    checks = len(instances)
     report(
         f"PASS criterion 5c: dilation/erosion adjunction on {checks} seeded "
         f"instances (seed {seed}), 0 violations"
@@ -224,37 +129,8 @@ def test_criterion_06_epistemic_equivalence():
     seed = 601
     rng = random.Random(seed)
     t0 = time.monotonic()
-    kripke_checks = 0
-    for trial in range(100):
-        models = ep.random_kripke_models(rng)
-        ks = ep.kripke_to_scs(models)
-        agents = sorted(ks.scs.agents)
-        empty = ls.delta_group(ks.scs, [])
-        assert empty.images == ls.top_function(ks.lattice).images
-        for r in range(1, len(agents) + 1):
-            for group in itertools.combinations(agents, r):
-                dfun = ks.delta(group)
-                for mask in range(1 << len(ks.pointed)):
-                    want = ep.kripke_dk(models, group, ks.set_of(mask))
-                    assert ks.set_of(dfun.images[mask]) == want, (
-                        f"kripke seed {seed} trial {trial} group {group}"
-                    )
-                    kripke_checks += 1
-    aumann_checks = 0
-    for trial in range(100):
-        struct = ep.random_aumann(rng)
-        ascs = ep.aumann_to_scs(struct)
-        agents = sorted(ascs.scs.agents)
-        for r in range(len(agents) + 1):
-            for group in itertools.combinations(agents, r):
-                dfun = ls.delta_group(ascs.scs, group)
-                for mask in range(1 << len(struct.states)):
-                    event = ascs.set_of(mask)
-                    want = ep.aumann_dk(struct, group, event)
-                    assert ascs.set_of(dfun.images[mask]) == want, (
-                        f"aumann seed {seed} trial {trial} group {group}"
-                    )
-                    aumann_checks += 1
+    kripke_checks = sc.kripke_knowledge(sc.random_kripke_models(rng) for _ in range(100))
+    aumann_checks = sc.aumann_knowledge(sc.random_aumann(rng) for _ in range(100))
     elapsed = time.monotonic() - t0
     assert elapsed < 120.0
     report(
@@ -269,37 +145,11 @@ def test_criterion_06_epistemic_equivalence():
 def test_criterion_07_minkowski_intersection_law():
     seed = 701
     rng = random.Random(seed)
-    x1 = mo.PointSet.of(1, [0, 1])
-    a1 = mo.PointSet.of(1, [1])
-    b1 = mo.PointSet.of(1, [2])
-    assert mo.distributed_dilation(a1, b1, x1).points == frozenset()
-    assert mo.oplus_law_rhs(x1, a1, b1).points == frozenset()
-    mismatches = 0
-    for _ in range(100):
-        x = mo.PointSet(
-            2,
-            frozenset(
-                (rng.randint(-3, 3), rng.randint(-3, 3))
-                for _ in range(rng.randint(0, 6))
-            ),
-        )
-        a = mo.PointSet(
-            2,
-            frozenset(
-                (rng.randint(-3, 3), rng.randint(-3, 3))
-                for _ in range(rng.randint(0, 5))
-            ),
-        )
-        b = mo.PointSet(
-            2,
-            frozenset(
-                (rng.randint(-3, 3), rng.randint(-3, 3))
-                for _ in range(rng.randint(0, 5))
-            ),
-        )
-        if mo.distributed_dilation(a, b, x) != mo.oplus_law_rhs(x, a, b):
-            mismatches += 1
-    assert mismatches == 0
+    unit_interval = (mo.PointSet.of(1, [0, 1]), mo.PointSet.of(1, [1]), mo.PointSet.of(1, [2]))
+    sc.intersection_law([unit_interval] + [
+        (sc.random_pointset(rng, 2, (0, 6)), sc.random_pointset(rng, 2), sc.random_pointset(rng, 2))
+        for _ in range(100)
+    ])
     report(
         f"PASS criterion 7: intersection law exact on the 1-d instance and "
         f"100 random triples (seed {seed}), 0 mismatches"
@@ -311,10 +161,8 @@ def test_criterion_07_minkowski_intersection_law():
 
 def test_criterion_08_small_module_bridge():
     t0 = time.monotonic()
-    rep = mo.theorem_check_small_module()
+    sc.small_module_bridge()
     elapsed = time.monotonic() - t0
-    assert rep.pairs_checked == 256
-    assert rep.ok, rep.summary()
     assert elapsed < 120.0
     report(
         f"PASS criterion 8: oracle meet equals intersected-brush dilation on "
@@ -330,12 +178,11 @@ def _time_delta_group(k: int, seed: int) -> float:
     lat = ls.powerset_lattice([f"g{i}" for i in range(k)])
     lat.distributivity()  # the per-lattice check is cached by design
     lat.subtract_table  # not used by the tuple method; warmed for fairness
-    agents = {str(i + 1): ls.random_space_function(lat, rng) for i in range(4)}
-    scs = ls.Scs(lat, agents)
+    scs = sc.random_scs(lat, rng, 4)
     best = float("inf")
     for _ in range(3):
         t0 = time.monotonic()
-        ls.delta_group(scs, sorted(agents), method="tuple")
+        ls.delta_group(scs, sorted(scs.agents), method="tuple")
         best = min(best, time.monotonic() - t0)
     return best
 
@@ -359,12 +206,8 @@ def test_criterion_10_nondistributive_survey(canonical):
     t0 = time.monotonic()
     lines = []
     for name in ("M3", "N5"):
-        survey = ls.survey_tuple_formula(canonical[name], name)
-        assert survey.monotone_everywhere
+        survey = sc.tuple_formula_survey(canonical[name], name)
         if survey.found_counterexample:
-            f, g, images, violation = survey.violations[0]
-            # the counterexample genuinely breaks join preservation
-            assert ls.validate_space_function(canonical[name], images) is not None
             lines.append(
                 f"{name}: {len(survey.violations)} violating pairs out of "
                 f"{survey.pair_count} (counterexample confirms the "

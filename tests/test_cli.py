@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from latspace import selfcheck
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -186,13 +188,18 @@ def test_deterministic_output(fixture_dir):
     assert first.stdout == second.stdout
 
 
-def test_selfcheck_deterministic_and_green():
-    first = run_cli("selfcheck", "--seed", "7")
-    second = run_cli("selfcheck", "--seed", "7")
-    assert first.returncode == 0
-    assert first.stdout == second.stdout
-    assert "FAIL" not in first.stdout
-    assert first.stdout.strip().splitlines()[0] == "selfcheck seed=7"
+def test_selfcheck_deterministic_and_green(selfcheck_lines):
+    out = run_cli("selfcheck", "--seed", "7")
+    assert out.returncode == 0
+    assert out.stdout == "".join(line + "\n" for line in selfcheck_lines)
+    assert "FAIL" not in out.stdout
+    assert out.stdout.strip().splitlines()[0] == "selfcheck seed=7"
+
+
+@pytest.mark.parametrize("name", [name for name, *_ in selfcheck.CHECKS])
+def test_selfcheck_property(selfcheck_lines, name):
+    line = next(ln for ln in selfcheck_lines if ln.split(":")[0].split(" ", 1)[-1] == name)
+    assert line.startswith(f"PASS {name}: "), line
 
 
 def test_error_format_single_line(fixture_dir):

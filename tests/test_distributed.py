@@ -1,4 +1,3 @@
-import itertools
 import random
 from functools import reduce
 
@@ -7,7 +6,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import latspace as ls
-from latspace.distributed import pair_formula_images
+from latspace import selfcheck
+from latspace.distributed import pair_formula_images, subgroups
 from latspace.spaces import enumeration_size_estimate
 from latspace.errors import NotDistributive, TooLarge, UnknownAgent
 
@@ -149,10 +149,8 @@ def test_delta_group_refuses_nondistributive_folds(m3):
 
 def test_delta_group_order_independent():
     rng = random.Random(17)
-    lat = ls.powerset_lattice(["a", "b", "c"])
-    agents = {str(i): ls.random_space_function(lat, rng) for i in range(1, 5)}
-    scs = ls.Scs(lat, agents)
-    names = list(agents)
+    scs = selfcheck.random_scs(ls.powerset_lattice(["a", "b", "c"]), rng, 4)
+    names = list(scs.agents)
     reference = ls.delta_group(scs, names).images
     for _ in range(5):
         rng.shuffle(names)
@@ -186,14 +184,9 @@ def test_delta_tuples_direct_cap(m2_scs, monkeypatch):
 
 def test_delta_general_matches_fold_on_distributive():
     rng = random.Random(23)
-    for _ in range(10):
-        lat = ls.random_distributive_lattice(rng)
-        fs = [ls.random_space_function(lat, rng) for _ in range(2)]
-        scs = ls.Scs(lat, {"1": fs[0], "2": fs[1]})
-        assert (
-            ls.function_meet_oracle(lat, fs).images
-            == ls.delta_group(scs, ["1", "2"]).images
-        )
+    selfcheck.methods_agree(
+        selfcheck.random_scs(ls.random_distributive_lattice(rng), rng, 2) for _ in range(10)
+    )
 
 
 def test_delta_general_below_inputs_on_n5(n5):
@@ -330,45 +323,13 @@ def test_join_projection_singleton(m2_scs):
 
 
 def test_group_dominates_join_projection(m2_scs):
-    lat = m2_scs.lattice
-    for r in range(3):
-        for group in itertools.combinations(sorted(m2_scs.agents), r):
-            if not group:
-                continue
-            for c in range(lat.n):
-                jp = ls.join_projection(m2_scs, group, c)
-                gp = ls.group_projection(m2_scs, group, c)
-                assert lat.leq[jp, gp]
-
-
-def test_group_projection_monotone_in_group(m2_scs):
-    lat = m2_scs.lattice
-    groups = [[], ["1"], ["2"], ["1", "2"]]
-    for small, large in itertools.combinations(groups, 2):
-        if set(small) <= set(large):
-            for c in range(lat.n):
-                assert lat.leq[
-                    ls.group_projection(m2_scs, small, c),
-                    ls.group_projection(m2_scs, large, c),
-                ]
+    selfcheck.group_adjunction([m2_scs])
 
 
 def test_group_galois_exhaustive(m2_scs):
-    lat = m2_scs.lattice
     rng = random.Random(31)
     ps3 = ls.powerset_lattice(["a", "b", "c"])
-    systems = [
-        m2_scs,
-        ls.Scs(ps3, {str(i): ls.random_space_function(ps3, rng) for i in (1, 2)}),
-    ]
-    for scs in systems:
-        lat = scs.lattice
-        names = sorted(scs.agents)
-        dfun = ls.delta_group(scs, names)
-        for c in range(lat.n):
-            proj = ls.group_projection(scs, names, c)
-            for e in range(lat.n):
-                assert bool(lat.leq[dfun.images[e], c]) == bool(lat.leq[e, proj])
+    selfcheck.group_adjunction([m2_scs, selfcheck.random_scs(ps3, rng, 2)])
 
 
 # -- compositionality ---------------------------------------------------------------
@@ -376,10 +337,8 @@ def test_group_galois_exhaustive(m2_scs):
 
 def _family_over(scs):
     family = ls.DeltaFamily(scs)
-    names = sorted(scs.agents)
-    for r in range(len(names) + 1):
-        for combo in itertools.combinations(names, r):
-            family.get(combo)
+    for group in subgroups(scs):
+        family.get(group)
     return family
 
 
@@ -387,9 +346,7 @@ def test_subgroup_composition_equation():
     rng = random.Random(41)
     for _ in range(5):
         lat = ls.random_distributive_lattice(rng)
-        scs = ls.Scs(
-            lat, {str(i): ls.random_space_function(lat, rng) for i in (1, 2, 3)}
-        )
+        scs = selfcheck.random_scs(lat, rng, 3)
         family = _family_over(scs)
         dj = family.get(["1"]).images
         dk = family.get(["2", "3"]).images
@@ -425,7 +382,7 @@ def test_subgroup_bound_property(m2_scs):
 def test_subgroup_bound_property_powerset3():
     rng = random.Random(43)
     lat = ls.powerset_lattice(["a", "b", "c"])
-    scs = ls.Scs(lat, {str(i): ls.random_space_function(lat, rng) for i in (1, 2)})
+    scs = selfcheck.random_scs(lat, rng, 2)
     family = _family_over(scs)
     full = frozenset(["1", "2"])
     subsets = [frozenset(), frozenset(["1"]), frozenset(["2"]), full]

@@ -5,6 +5,7 @@ import pytest
 
 import latspace as ls
 from latspace import epistemic as ep
+from latspace import selfcheck
 from latspace.errors import InvalidElement, TooLarge, UnknownAgent, UnknownProp
 
 
@@ -193,29 +194,14 @@ def test_kripke_json_round_trip(two_state_model, tmp_path):
 
 def test_kripke_delta_equals_intersection_knowledge_seeded():
     rng = random.Random(20260809)
-    trials = 100
-    for trial in range(trials):
-        models = ep.random_kripke_models(rng)
-        ks = ep.kripke_to_scs(models)
-        agents = sorted(ks.scs.agents)
-        for r in range(1, len(agents) + 1):
-            for group in itertools.combinations(agents, r):
-                dfun = ks.delta(group)
-                for mask in range(1 << len(ks.pointed)):
-                    want = ep.kripke_dk(models, group, ks.set_of(mask))
-                    got = ks.set_of(dfun.images[mask])
-                    assert got == want, f"seed trial {trial}, group {group}"
+    selfcheck.kripke_knowledge(selfcheck.random_kripke_models(rng) for _ in range(100))
 
 
 def test_kripke_delta_matches_enumeration_oracle():
     rng = random.Random(99)
-    for trial in range(10):
-        models = ep.random_kripke_models(rng)
-        ks = ep.kripke_to_scs(models)
-        agents = sorted(ks.scs.agents)
-        fns = [ks.scs.agent(a) for a in agents]
-        oracle = ls.function_meet_oracle(ks.lattice, fns)
-        assert ks.delta(agents).images == oracle.images, f"trial {trial}"
+    selfcheck.methods_agree(
+        ep.kripke_to_scs(selfcheck.random_kripke_models(rng)).scs for _ in range(10)
+    )
 
 
 def test_kripke_need_not_be_closure_operator():
@@ -261,7 +247,7 @@ def test_evaluate_conjunction_is_join(two_state_model):
 def test_shared_knowledge_derives_pooled_knowledge():
     rng = random.Random(8)
     for _ in range(20):
-        models = ep.random_kripke_models(rng)
+        models = selfcheck.random_kripke_models(rng)
         ks = ep.kripke_to_scs(models)
         agents = sorted(ks.scs.agents)
         if len(agents) < 2:
@@ -381,19 +367,7 @@ def test_aumann_to_scs_closure_operators(grid_structure):
 
 def test_aumann_delta_equals_block_knowledge_seeded():
     rng = random.Random(20260810)
-    trials = 100
-    for trial in range(trials):
-        a = ep.random_aumann(rng)
-        ascs = ep.aumann_to_scs(a)
-        agents = sorted(ascs.scs.agents)
-        for r in range(1, len(agents) + 1):
-            for group in itertools.combinations(agents, r):
-                dfun = ls.delta_group(ascs.scs, group)
-                for mask in range(1 << len(a.states)):
-                    event = ascs.set_of(mask)
-                    want = ep.aumann_dk(a, group, event)
-                    got = ascs.set_of(dfun.images[mask])
-                    assert got == want, f"seed trial {trial}, group {group}"
+    selfcheck.aumann_knowledge(selfcheck.random_aumann(rng) for _ in range(100))
 
 
 def test_aumann_empty_group_is_least_space():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latspace as ls
+from latspace import selfcheck
 from latspace.errors import (
     InvalidElement,
     NotALattice,
@@ -46,19 +48,8 @@ def one_lower_cover(lat):
     return tuple(out)
 
 
-def breaks_distributive_law(lat, witness):
-    a, b, c = witness
-    lhs = lat.join_of([a, lat.meet_of([b, c])])
-    rhs = lat.meet_of([lat.join_of([a, b]), lat.join_of([a, c])])
-    return lhs != rhs
-
-
 def assert_derived_structures_agree(lat):
-    flag, witness = lat.distributivity()
-    assert flag is triple_scan_is_distributive(lat)
-    assert (witness is None) == flag
-    if witness is not None:
-        assert breaks_distributive_law(lat, witness)
+    selfcheck.distributivity_verdicts({"lattice": (lat, triple_scan_is_distributive(lat))})
     assert lat.irreducibles == one_lower_cover(lat)
     table = lat.subtract_table
     for d in range(lat.n):
@@ -128,13 +119,7 @@ def test_join_of_rejects_bad_ids(m2):
     ("powerset3+N5", False),
 ])
 def test_distributivity_verdicts(lattices, name, expected):
-    lat = lattices[name]
-    flag, witness = lat.distributivity()
-    assert flag is expected
-    if expected:
-        assert witness is None
-    else:
-        assert breaks_distributive_law(lat, witness)
+    selfcheck.distributivity_verdicts({name: (lattices[name], expected)})
 
 
 @pytest.mark.parametrize("name", [
@@ -218,26 +203,11 @@ def test_chain_lattices():
 
 
 def test_bound_laws_exhaustive(canonical):
-    for lat in canonical.values():
-        for a in range(lat.n):
-            for b in range(lat.n):
-                j = lat.join_table[a, b]
-                m = lat.meet_table[a, b]
-                assert lat.leq[a, j] and lat.leq[b, j]
-                assert lat.leq[m, a] and lat.leq[m, b]
-                for x in range(lat.n):
-                    if lat.leq[a, x] and lat.leq[b, x]:
-                        assert lat.leq[j, x]
-                    if lat.leq[x, a] and lat.leq[x, b]:
-                        assert lat.leq[x, m]
+    selfcheck.bound_laws(canonical)
 
 
 def test_absorption_exhaustive(canonical):
-    for lat in canonical.values():
-        for a in range(lat.n):
-            for b in range(lat.n):
-                assert lat.join_table[a, lat.meet_table[a, b]] == a
-                assert lat.meet_table[a, lat.join_table[a, b]] == a
+    selfcheck.absorption_laws(canonical)
 
 
 # -- subtraction ----------------------------------------------------------------
@@ -255,17 +225,6 @@ def test_subtract_on_m2(m2):
 def test_powerset_subtract_is_set_difference(a, b):
     lat = ls.powerset_lattice(["w", "x", "y", "z"])
     assert lat.subtract(b, a) == b & ~a & 15
-
-
-def test_subtract_laws_on_distributive_fixtures(canonical):
-    lats = [canonical["M2"], canonical["chain3"], ls.powerset_lattice(["a", "b", "c"])]
-    for lat in lats:
-        for c in range(lat.n):
-            for d in range(lat.n):
-                e = lat.subtract(d, c)
-                assert lat.join_of([c, e]) == lat.join_of([c, d])
-                assert lat.leq[e, d]
-                assert (e == lat.bottom_id) == bool(lat.leq[d, c])
 
 
 def test_subtract_table_matches_pointwise(canonical):
@@ -404,3 +363,34 @@ def test_element_cap():
         ls.build_lattice([str(i) for i in range(1025)], [])
     with pytest.raises(TooLarge):
         ls.downset_lattice(np.eye(11, dtype=bool))  # 2048 downsets of an antichain
+
+
+def test_downset_cap_stops_an_antichain_early():
+    t0 = time.monotonic()
+    with pytest.raises(TooLarge):
+        ls.downset_lattice(np.eye(18, dtype=bool))  # 2^18 downsets
+    assert time.monotonic() - t0 < 1.0
+
+
+def downset_labels_by_filter(poset_leq):
+    """Reference: every subset of the k points, kept when downward closed,
+    in ascending bitmask order."""
+    k = len(poset_leq)
+    return tuple(
+        "{" + ",".join(f"e{i}" for i in range(k) if mask >> i & 1) + "}"
+        for mask in range(1 << k)
+        if all(mask >> i & 1 for i in range(k) for j in range(k) if poset_leq[i, j] and mask >> j & 1)
+    )
+
+
+def test_downset_labels_match_the_subset_filter():
+    rng = random.Random(12)
+    for _ in range(50):
+        k, density = rng.randint(0, 10), rng.random()
+        leq = np.eye(k, dtype=bool)
+        for i in range(k):
+            for j in range(i + 1, k):
+                leq[i, j] = rng.random() < density
+        for m in range(k):
+            leq |= leq[:, m : m + 1] & leq[m : m + 1, :]
+        assert ls.downset_lattice(leq).labels == downset_labels_by_filter(leq)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latspace import morphology as mo
+from latspace import selfcheck
 from latspace.errors import DimMismatch, EmptyStructuringElement, TooLarge
 
 
@@ -57,18 +58,13 @@ def test_zero_and_identity():
 @settings(max_examples=60, deadline=None)
 @given(a=point_sets(2), b=point_sets(2), c=point_sets(2))
 def test_monoid_laws(a, b, c):
-    s = mo.minkowski_sum
-    assert s(a, b) == s(b, a)
-    assert s(s(a, b), c) == s(a, s(b, c))
-    assert s(c, mo.union(a, b)) == mo.union(s(c, a), s(c, b))
+    selfcheck.minkowski_laws([(a, b, c)])
 
 
 @settings(max_examples=40, deadline=None)
 @given(a=point_sets(1), b=point_sets(1), c=point_sets(1))
 def test_monoid_laws_dim1(a, b, c):
-    s = mo.minkowski_sum
-    assert s(a, b) == s(b, a)
-    assert s(s(a, b), c) == s(a, s(b, c))
+    selfcheck.minkowski_laws([(a, b, c)])
 
 
 # -- dilation and erosion ------------------------------------------------------------
@@ -111,8 +107,8 @@ def test_erode_matches_intersection_of_translates():
     rng = random.Random(5)
     for dim in (1, 2, 3):
         for trial in range(200):
-            s = pset(dim, [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(1, 4))])
-            x = pset(dim, [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(0, 12))])
+            s = selfcheck.random_pointset(rng, dim, (1, 4), span=2)
+            x = selfcheck.random_pointset(rng, dim, (0, 12))
             assert mo.erode(s, x) == erode_by_translates(s, x), f"dim {dim} trial {trial}"
 
 
@@ -124,41 +120,29 @@ def test_erode_rejects_empty_brush():
 @settings(max_examples=60, deadline=None)
 @given(s=point_sets(1, max_size=3), x=point_sets(1), y=point_sets(1))
 def test_adjunction_dim1(s, x, y):
-    if not s.points:
-        s = mo.origin(1)
-    assert (mo.dilate(s, x).points <= y.points) == (
-        x.points <= mo.erode(s, y).points
-    )
+    selfcheck.dilation_adjunction([(s if s.points else mo.origin(1), x, y)])
 
 
 @settings(max_examples=60, deadline=None)
 @given(s=point_sets(2, max_size=3), x=point_sets(2), y=point_sets(2))
 def test_adjunction_dim2(s, x, y):
-    if not s.points:
-        s = mo.origin(2)
-    assert (mo.dilate(s, x).points <= y.points) == (
-        x.points <= mo.erode(s, y).points
-    )
+    selfcheck.dilation_adjunction([(s if s.points else mo.origin(2), x, y)])
 
 
 @settings(max_examples=40, deadline=None)
 @given(s=point_sets(2, max_size=3), x=point_sets(2))
 def test_galois_unit(s, x):
-    if not s.points:
-        s = mo.origin(2)
-    assert x.points <= mo.erode(s, mo.dilate(s, x)).points
+    selfcheck.dilation_adjunction([(s if s.points else mo.origin(2), x, x)])
 
 
 def test_seeded_adjunction_suite():
     rng = random.Random(214)
-    for dim in (1, 2):
-        for trial in range(200):
-            s = pset(dim, [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(1, 3))])
-            x = pset(dim, [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(0, 5))])
-            y = pset(dim, [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(0, 5))])
-            assert (mo.dilate(s, x).points <= y.points) == (
-                x.points <= mo.erode(s, y).points
-            ), f"dim {dim} trial {trial}"
+    selfcheck.dilation_adjunction([
+        (selfcheck.random_pointset(rng, dim, (1, 3)), selfcheck.random_pointset(rng, dim),
+         selfcheck.random_pointset(rng, dim))
+        for dim in (1, 2)
+        for _ in range(200)
+    ])
 
 
 # -- pooled dilation and the intersection law ------------------------------------------
@@ -185,8 +169,8 @@ def test_oplus_rhs_empty_image():
 def test_oplus_rhs_equal_brushes():
     rng = random.Random(7)
     for _ in range(20):
-        x = pset(1, [rng.randint(-3, 3) for _ in range(rng.randint(0, 5))])
-        a = pset(1, [rng.randint(-3, 3) for _ in range(rng.randint(0, 4))])
+        x = selfcheck.random_pointset(rng, 1)
+        a = selfcheck.random_pointset(rng, 1, (0, 4))
         assert mo.oplus_law_rhs(x, a, a) == mo.minkowski_sum(x, a)
 
 
@@ -198,17 +182,17 @@ def test_oplus_rhs_cap():
 
 def test_intersection_law_seeded_suite():
     rng = random.Random(215)
-    for trial in range(100):
-        x = pset(2, [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(0, 6))])
-        a = pset(2, [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(0, 5))])
-        b = pset(2, [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(0, 5))])
-        assert mo.distributed_dilation(a, b, x) == mo.oplus_law_rhs(x, a, b), f"trial {trial}"
+    selfcheck.intersection_law([
+        (selfcheck.random_pointset(rng, 2, (0, 6)), selfcheck.random_pointset(rng, 2),
+         selfcheck.random_pointset(rng, 2))
+        for _ in range(100)
+    ])
 
 
 @settings(max_examples=50, deadline=None)
 @given(x=point_sets(2, max_size=5), a=point_sets(2, max_size=4), b=point_sets(2, max_size=4))
 def test_intersection_law_hypothesis(x, a, b):
-    assert mo.distributed_dilation(a, b, x) == mo.oplus_law_rhs(x, a, b)
+    selfcheck.intersection_law([(x, a, b)])
 
 
 # -- scaling ---------------------------------------------------------------------------
@@ -237,13 +221,3 @@ def test_doubling_is_not_a_dilation():
 @given(x=point_sets(2), y=point_sets(2), r=st.integers(-3, 3))
 def test_scale_preserves_unions(x, y, r):
     assert mo.scale(r, mo.union(x, y)) == mo.union(mo.scale(r, x), mo.scale(r, y))
-
-
-# -- the finite-module bridge ------------------------------------------------------------
-
-
-def test_small_module_bridge_passes():
-    report = mo.theorem_check_small_module()
-    assert report.pairs_checked == 256
-    assert report.ok
-    assert "256" in report.summary()

@@ -1,9 +1,12 @@
 import json
 import random
+import time
 
+import numpy as np
 import pytest
 
 import latspace as ls
+from latspace import selfcheck
 from latspace.errors import (
     FormatError,
     InvalidElement,
@@ -11,6 +14,7 @@ from latspace.errors import (
     NotASpaceFunction,
     TooLarge,
 )
+from latspace.spaces import DEFAULT_MAX_ENUM, enumeration_size_estimate
 from conftest import brute_force_space_functions
 
 
@@ -44,13 +48,12 @@ def test_images_must_be_element_ids(m2):
         ls.validate_space_function(m2, (0, 1, 2))
 
 
-def test_every_space_function_is_monotone(canonical):
-    for lat in canonical.values():
-        for f in ls.enumerate_space_functions(lat):
-            for a in range(lat.n):
-                for b in range(lat.n):
-                    if lat.leq[a, b]:
-                        assert lat.leq[f.images[a], f.images[b]]
+def test_every_space_function_is_monotone(canonical, space_functions):
+    for name, fs in space_functions.items():
+        leq = canonical[name].leq
+        for f in fs:
+            images = np.asarray(f.images)
+            assert not (leq & ~leq[np.ix_(images, images)]).any(), f"{name}: {f!r}"
 
 
 # -- classification ------------------------------------------------------------
@@ -94,13 +97,8 @@ def test_classify_knowledge_example():
 # -- the function order ----------------------------------------------------------
 
 
-def test_extremes_bound_everything(canonical):
-    for lat in canonical.values():
-        lo, hi = ls.bottom_function(lat), ls.top_function(lat)
-        for f in ls.enumerate_space_functions(lat):
-            assert ls.function_leq(lo, f)
-            assert ls.function_leq(f, hi)
-            assert ls.function_leq(f, f)
+def test_extremes_bound_everything(space_functions):
+    selfcheck.function_extremes(space_functions)
 
 
 def test_function_leq_needs_same_lattice(m2, m3):
@@ -121,14 +119,11 @@ def test_pointwise_join_laws(m2_scs):
     assert ls.pointwise_join([lo, f]).images == f.images
 
 
-def test_pointwise_join_always_validates(canonical):
+def test_pointwise_join_always_validates(space_functions):
     rng = random.Random(5)
     for name in ("M2", "M3", "N5"):
-        lat = canonical[name]
-        fs = ls.enumerate_space_functions(lat)
-        for _ in range(40):
-            pair = [rng.choice(fs), rng.choice(fs)]
-            ls.pointwise_join(pair)  # constructor re-validates
+        fs = space_functions[name]
+        selfcheck.join_upper_bounds([(rng.choice(fs), rng.choice(fs)) for _ in range(40)])
 
 
 def test_pointwise_meet_raw_single_and_top(m2_scs):
@@ -136,14 +131,6 @@ def test_pointwise_meet_raw_single_and_top(m2_scs):
     assert ls.pointwise_meet_raw([f]) == list(f.images)
     hi = ls.top_function(m2_scs.lattice)
     assert ls.pointwise_meet_raw([hi, f]) == list(f.images)
-
-
-def test_pointwise_meet_raw_fails_on_m2_pair(m2_scs):
-    raw = ls.pointwise_meet_raw([m2_scs.agent("1"), m2_scs.agent("2")])
-    v = ls.validate_space_function(m2_scs.lattice, raw)
-    assert v is not None
-    assert v.axiom == "S.2"
-    assert set(v.witness) == {m2_scs.lattice.id_of("p"), m2_scs.lattice.id_of("¬p")}
 
 
 # -- enumeration ------------------------------------------------------------------
@@ -204,6 +191,18 @@ def test_enumeration_cap(monkeypatch):
     assert "candidates" in str(err.value)
 
 
+def test_default_budget_refuses_just_above_it_quickly(monkeypatch):
+    # M6: six atoms between bottom and top, 8^6 = 262,144 candidates
+    atoms = list("abcdef")
+    m6 = ls.build_lattice(["0", *atoms, "1"], [("0", a) for a in atoms] + [(a, "1") for a in atoms])
+    assert DEFAULT_MAX_ENUM < enumeration_size_estimate(m6) < 1.1 * DEFAULT_MAX_ENUM
+    monkeypatch.delenv("LATSPACE_MAX_ENUM", raising=False)
+    t0 = time.monotonic()
+    with pytest.raises(TooLarge):
+        ls.function_meet_oracle(m6, [])
+    assert time.monotonic() - t0 < 1.0
+
+
 def test_enum_cap_env_override(monkeypatch):
     lat = ls.powerset_lattice(["a", "b", "c"])
     monkeypatch.setenv("LATSPACE_MAX_ENUM", "3")
@@ -254,16 +253,6 @@ def test_projection_values_on_m2(m2_scs):
     assert ls.agent_projection(m2_scs.agent("2"), p) == m2.bottom_id
     for f in m2_scs.agents.values():
         assert ls.agent_projection(f, m2.top_id) == m2.top_id
-
-
-def test_projection_galois_exhaustive(canonical):
-    for name in ("M2", "M3", "N5", "chain3"):
-        lat = canonical[name]
-        for f in ls.enumerate_space_functions(lat):
-            for c in range(lat.n):
-                proj = ls.agent_projection(f, c)
-                for e in range(lat.n):
-                    assert bool(lat.leq[f.images[e], c]) == bool(lat.leq[e, proj])
 
 
 # -- agent systems ------------------------------------------------------------------
