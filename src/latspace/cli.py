@@ -10,7 +10,9 @@ import sys
 from . import distributed, epistemic, morphology, pbm, selfcheck
 from .errors import InvalidElement, LatspaceError
 from .lattice import FiniteLattice
-from .spaces import Scs, agent_projection, validate_space_function
+# validate_space_function is unused here but stays importable from this module:
+# perfbench/tests checks that the span tracer patches it in every namespace.
+from .spaces import Scs, agent_projection, validate_space_function  # noqa: F401
 
 
 def _parse_group(text: str) -> list[str]:
@@ -35,11 +37,8 @@ def cmd_scs_check(args) -> int:
     scs = Scs.load(args.file)
     print(f"elements: {scs.lattice.n}")
     print(f"agents: {len(scs.agents)}")
-    for name in sorted(scs.agents):
-        f = scs.agent(name)
-        verdict = validate_space_function(scs.lattice, f.images)
-        status = "ok" if verdict is None else verdict.describe(scs.lattice)
-        print(f"agent {name}: {status}")
+    for name in sorted(scs.agents):  # Scs.load has validated every agent
+        print(f"agent {name}: ok")
     return 0
 
 

@@ -69,6 +69,18 @@ def brute_force_space_functions(lattice) -> list[tuple[int, ...]]:
     return out
 
 
+def pair_scan_violation(lattice, images):
+    """Reference for validate_space_function: S.1, then every pair (a, b) in
+    row-major order against f(a join b) = f(a) join f(b)."""
+    if images[lattice.bottom_id] != lattice.bottom_id:
+        return ls.AxiomViolation("S.1", (lattice.bottom_id,))
+    jt = lattice.join_rows
+    for a, b in itertools.product(range(lattice.n), repeat=2):
+        if images[jt[a][b]] != jt[images[a]][images[b]]:
+            return ls.AxiomViolation("S.2", (a, b))
+    return None
+
+
 # Non-distributive shapes stacked above a powerset's top: (new labels, covers
 # among them); None stands for the powerset's top.
 STACKS = {

@@ -86,6 +86,15 @@ def test_cover_cycle_is_rejected():
         ls.build_lattice(["a", "b"], [("a", "b"), ("b", "a")])
 
 
+def test_intransitive_order_names_the_first_missing_pair():
+    # a < b < c < d with no composite pairs: (a, c) is the first row-major gap
+    leq = np.eye(4, dtype=bool)
+    leq[0, 1] = leq[1, 2] = leq[2, 3] = True
+    with pytest.raises(NotALattice) as err:
+        ls.FiniteLattice("abcd", leq)
+    assert str(err.value) == "order relation is not transitive at ('a', 'c')"
+
+
 def test_unknown_cover_labels_are_rejected():
     with pytest.raises(InvalidElement):
         ls.build_lattice(["a"], [("a", "zz")])

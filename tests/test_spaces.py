@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import latspace as ls
 from latspace import selfcheck
@@ -15,7 +17,7 @@ from latspace.errors import (
     TooLarge,
 )
 from latspace.spaces import DEFAULT_MAX_ENUM, enumeration_size_estimate
-from conftest import brute_force_space_functions
+from conftest import STACKS, brute_force_space_functions, pair_scan_violation, stacked_lattice
 
 
 def test_identity_validates(m2):
@@ -39,6 +41,25 @@ def test_s2_violation_witnessed(m2):
     # monotone and bottom-preserving, but p join ¬p lands wrong
     v = ls.validate_space_function(m2, (0, 1, 0, 3))
     assert v is not None and v.axiom == "S.2"
+
+
+def test_validation_matches_pair_scan(space_functions):
+    functions = dict(space_functions)
+    for shape in STACKS:
+        for k in range(3):
+            functions[f"{shape}/{k}"] = ls.enumerate_space_functions(stacked_lattice(k, shape))
+    rng = random.Random(6)
+    checked = selfcheck.validation_verdicts(functions, rng, pair_scan_violation)
+    assert checked == 3 * sum(map(len, functions.values()))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_validation_matches_pair_scan_on_downset_lattices(seed):
+    rng = random.Random(seed)
+    lat = ls.random_distributive_lattice(rng, points=5)
+    fs = [ls.random_space_function(lat, rng) for _ in range(20)]
+    assert selfcheck.validation_verdicts({"downsets": fs}, rng, pair_scan_violation) == 60
 
 
 def test_images_must_be_element_ids(m2):
