@@ -180,22 +180,27 @@ def subgroups(scs: Scs) -> list[tuple[str, ...]]:
 
 @dataclass
 class DeltaFamily:
-    """Write-once cache of distributed spaces, keyed by agent-name set."""
+    """Write-once cache of distributed spaces, keyed by agent-name set.
+
+    A group of two or more takes one pair step from its cached prefix in
+    sorted name order: the same left fold delta_group runs, bit for bit.
+    """
 
     scs: Scs
     cache: dict[frozenset, SpaceFunction] = field(default_factory=dict)
 
     def get(self, group) -> SpaceFunction:
-        return delta_group(self.scs, group, family=self)
+        names = self.scs.group(group)
+        key = frozenset(names)
+        if key not in self.cache:
+            self.cache[key] = (
+                delta_group(self.scs, names) if len(names) < 2
+                else delta_pair(self.scs.lattice, self.get(names[:-1]), self.scs.agent(names[-1]))
+            )
+        return self.cache[key]
 
 
-def delta_group(
-    scs: Scs,
-    group,
-    method: str = "tuple",
-    *,
-    family: DeltaFamily | None = None,
-) -> SpaceFunction:
+def delta_group(scs: Scs, group, method: str = "tuple") -> SpaceFunction:
     """Distributed space of a group of agents.
 
     The empty group gets the least space; a singleton gets the agent's own
@@ -206,27 +211,19 @@ def delta_group(
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     names = scs.group(group)
-    key = frozenset(names)
-    if family is not None and key in family.cache:
-        return family.cache[key]
-
     lattice = scs.lattice
     if not names:
-        result = top_function(lattice)
-    elif len(names) == 1:
-        result = scs.agent(names[0])
-    elif method == "oracle":
-        result = function_meet_oracle(lattice, [scs.agent(x) for x in names])
-    else:
-        step = delta_pair if method == "tuple" else delta_pair_subtract
-        result = reduce(
-            lambda acc, name: step(lattice, acc, scs.agent(name)),
-            names[1:],
-            scs.agent(names[0]),
-        )
-    if family is not None:
-        family.cache[key] = result
-    return result
+        return top_function(lattice)
+    if len(names) == 1:
+        return scs.agent(names[0])
+    if method == "oracle":
+        return function_meet_oracle(lattice, [scs.agent(x) for x in names])
+    step = delta_pair if method == "tuple" else delta_pair_subtract
+    return reduce(
+        lambda acc, name: step(lattice, acc, scs.agent(name)),
+        names[1:],
+        scs.agent(names[0]),
+    )
 
 
 # -- projections ----------------------------------------------------------------

@@ -1,11 +1,16 @@
 """Epistemic instantiations: boolean assignments, Kripke and Aumann models.
 
-Each model induces an agent system on a reverse-inclusion powerset
-lattice (the empty set is the inconsistent top, the full universe the
-empty-information bottom).  The induced agent maps are the standard
-knowledge operators; their distributed spaces coincide with the classic
-distributed-knowledge operators, which the test suite verifies
-exhaustively on random instances.
+Every instance is read as a set of Kripke models, and one construction
+(`_induce`) turns that set into an agent system on the reverse-inclusion
+powerset of its pointed states: the empty set is the inconsistent top,
+the full universe the empty-information bottom, and each agent map is
+the box operator of the agent's accessibility relation.  An Aumann
+structure is the S5 model whose relations are its partition
+equivalences; the boolean constraint system is one agentless model whose
+states are all truth assignments.  The element cap bounds every system
+at 10 pointed states.  The distributed spaces coincide with the classic
+distributed-knowledge operators `kripke_dk` and `aumann_dk`, which stay
+independent references for the selfcheck catalogue.
 """
 
 from __future__ import annotations
@@ -16,13 +21,12 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .distributed import DeltaFamily
 from .errors import InvalidElement, TooLarge, UnknownAgent, UnknownProp
-from .lattice import MAX_ELEMENTS, FiniteLattice, powerset_lattice
+from .lattice import MAX_ELEMENTS, FiniteLattice, powerset_order
 from .spaces import Scs, SpaceFunction
-
-# Kripke and Aumann universes; the induced lattice has 2^k elements.
-MAX_POINTED_STATES = 4
 
 
 # -- formulas ------------------------------------------------------------------
@@ -169,6 +173,13 @@ def _json_list(value, what: str, length: int | None = None) -> list:
     return value
 
 
+def _json_object(value, what: str) -> dict:
+    """A JSON object; an array in its place is refused, not half-read."""
+    if not isinstance(value, dict):
+        raise InvalidElement(f"{what} must be an object, got {value!r}")
+    return value
+
+
 # -- reverse-inclusion powerset scaffolding --------------------------------------
 
 
@@ -181,7 +192,8 @@ class SetLattice:
 
     def __init__(self, universe_labels: Sequence[str]):
         self.universe = tuple(universe_labels)
-        self.lattice = powerset_lattice(self.universe).dual()
+        labels, leq = powerset_order(self.universe)
+        self.lattice = FiniteLattice(labels, leq.T)
         self.full_mask = (1 << len(self.universe)) - 1
         self._index = {lab: i for i, lab in enumerate(self.universe)}
 
@@ -202,70 +214,6 @@ class SetLattice:
     def complement(self, element: int) -> int:
         self.lattice.check_id(element)
         return self.full_mask ^ element
-
-
-# -- boolean constraint system -----------------------------------------------------
-
-
-@dataclass
-class BooleanCs:
-    """All truth assignments over the props, as a reverse-inclusion lattice."""
-
-    props: tuple[str, ...]
-    sets: SetLattice
-
-    @property
-    def lattice(self) -> FiniteLattice:
-        return self.sets.lattice
-
-    def assignment_label(self, bits: int) -> str:
-        return "".join(str(bits >> i & 1) for i in range(len(self.props)))
-
-    def evaluate(self, formula: Formula) -> int:
-        """Interpret a propositional formula as the set of its models."""
-        if isinstance(formula, Atom):
-            if formula.name not in self.props:
-                raise UnknownProp(f"unknown proposition {formula.name!r}")
-            i = self.props.index(formula.name)
-            members = [
-                self.assignment_label(bits)
-                for bits in range(1 << len(self.props))
-                if bits >> i & 1
-            ]
-            return self.sets.element_of(members)
-        if isinstance(formula, Top):
-            return self.sets.full_mask
-        if isinstance(formula, Bottom):
-            return 0
-        if isinstance(formula, Not):
-            return self.sets.complement(self.evaluate(formula.arg))
-        if isinstance(formula, And):
-            return self.lattice.join_of(
-                [self.evaluate(formula.left), self.evaluate(formula.right)]
-            )
-        if isinstance(formula, Or):
-            return self.lattice.meet_of(
-                [self.evaluate(formula.left), self.evaluate(formula.right)]
-            )
-        raise InvalidElement(f"not a propositional formula: {formula!r}")
-
-
-def boolean_cs(props: Sequence[str]) -> BooleanCs:
-    """Powerset of all truth assignments ordered by reverse inclusion.
-
-    The lattice has 2^(2^k) elements, so only tiny prop sets are
-    representable: k <= 3 (256 elements) fits the element cap.
-    """
-    props = tuple(str(p) for p in props)
-    if len(set(props)) != len(props):
-        raise InvalidElement("propositions must be distinct")
-    count = 1 << len(props)
-    if count > MAX_ELEMENTS.bit_length() - 1:  # 2^count > MAX_ELEMENTS
-        raise TooLarge(
-            f"{len(props)} props give 2^{count} elements, cap is {MAX_ELEMENTS}"
-        )
-    labels = ["".join(str(b >> i & 1) for i in range(len(props))) for b in range(count)]
-    return BooleanCs(props, SetLattice(labels))
 
 
 # -- Kripke models --------------------------------------------------------------
@@ -308,15 +256,15 @@ class KripkeModel:
             states = tuple(str(s) for s in _json_list(doc["states"], '"states"'))
             props = tuple(str(p) for p in _json_list(doc.get("props", []), '"props"'))
             val = {
-                str(s): {str(p): int(v) for p, v in row.items()}
-                for s, row in doc.get("val", {}).items()
+                str(s): {str(p): int(v) for p, v in _json_object(row, "a valuation row").items()}
+                for s, row in _json_object(doc.get("val", {}), '"val"').items()
             }
             rel = {
                 str(agent): frozenset(
                     tuple(str(s) for s in _json_list(pair, "a relation pair", 2))
                     for pair in _json_list(pairs, "a relation")
                 )
-                for agent, pairs in doc.get("rel", {}).items()
+                for agent, pairs in _json_object(doc.get("rel", {}), '"rel"').items()
             }
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidElement(f"malformed Kripke document: {exc}") from None
@@ -438,39 +386,70 @@ class KripkeScs:
         if isinstance(formula, Box):
             return self.scs.agent(formula.agent).images[self.evaluate(formula.arg)]
         if isinstance(formula, Dk):
-            return self.delta(formula.agents).images[self.evaluate(formula.arg)]
+            return self.delta(sorted(formula.agents)).images[self.evaluate(formula.arg)]
         raise InvalidElement(f"unsupported formula node {formula!r}")
+
+
+def _induce(models: tuple[KripkeModel, ...]) -> KripkeScs:
+    """The one construction behind every induced agent system.
+
+    Bit k of an element mask is pointed state k, and an agent maps a mask
+    x to the states whose successor mask lies inside x: the box operator,
+    which validates against the space axioms.  SetLattice raises TooLarge
+    before any work past 10 pointed states (2^k > MAX_ELEMENTS).
+    """
+    pts = pointed_states(models)
+    sets = SetLattice([s if len(models) == 1 else f"m{i}:{s}" for i, s in pts])
+    bit = {p: 1 << k for k, p in enumerate(pts)}
+    masks = np.arange(1 << len(pts), dtype=np.int64)[:, None]
+    weights = np.array(list(bit.values()), dtype=np.int64)
+    agents = {}
+    for agent in sorted(_model_agents(models)):
+        succ = dict.fromkeys(pts, 0)
+        for i, m in enumerate(models):
+            for s, t in m.relations.get(agent, ()):
+                succ[i, s] |= bit[i, t]
+        inside = (np.array(list(succ.values()), dtype=np.int64) & ~masks) == 0
+        agents[agent] = SpaceFunction(sets.lattice, tuple((inside @ weights).tolist()))
+    return KripkeScs(models, tuple(pts), sets, Scs(sets.lattice, agents))
 
 
 def kripke_to_scs(models: Sequence[KripkeModel]) -> KripkeScs:
     """Build the induced agent system of a set of Kripke models.
 
     The universe is the disjoint union of pointed states; each agent map
-    is the box operator, which validates against the space axioms.
+    is the box operator.
     """
     models = tuple(models)
     if not models:
         raise InvalidElement("need at least one Kripke model")
-    pts = pointed_states(models)
-    if len(pts) > MAX_POINTED_STATES:
+    return _induce(models)
+
+
+# -- boolean constraint system -----------------------------------------------------
+
+
+def boolean_cs(props: Sequence[str]) -> KripkeScs:
+    """All truth assignments over the props, as one agentless Kripke model
+    whose states are labelled by their bits in prop order.
+
+    The lattice has 2^(2^k) elements, so only k <= 3 (256 elements) fits
+    the element cap, which is checked before the assignments are listed.
+    """
+    props = tuple(str(p) for p in props)
+    if len(set(props)) != len(props):
+        raise InvalidElement("propositions must be distinct")
+    count = 1 << len(props)
+    if count > MAX_ELEMENTS.bit_length() - 1:  # 2^count > MAX_ELEMENTS
         raise TooLarge(
-            f"{len(pts)} pointed states exceeds the cap of {MAX_POINTED_STATES}"
+            f"{len(props)} props give 2^{count} elements, cap is {MAX_ELEMENTS}"
         )
-    labels = [
-        (s if len(models) == 1 else f"m{i}:{s}") for i, s in pts
-    ]
-    sets = SetLattice(labels)
-    agents = {}
-    for agent in sorted(_model_agents(models)):
-        images = []
-        for mask in range(1 << len(pts)):
-            members = frozenset(p for i, p in enumerate(pts) if mask >> i & 1)
-            box = kripke_box(models, agent, members)
-            images.append(
-                sum(1 << i for i, p in enumerate(pts) if p in box)
-            )
-        agents[agent] = SpaceFunction(sets.lattice, tuple(images))
-    return KripkeScs(models, tuple(pts), sets, Scs(sets.lattice, agents))
+    val = {
+        "".join(str(b >> i & 1) for i in range(len(props))):
+            {p: b >> i & 1 for i, p in enumerate(props)}
+        for b in range(count)
+    }
+    return _induce((KripkeModel(tuple(val), props, val, {}),))
 
 
 # -- Aumann structures -------------------------------------------------------------
@@ -519,7 +498,7 @@ class AumannStructure:
                     frozenset(str(s) for s in _json_list(block, "a partition block"))
                     for block in _json_list(blocks, "a partition")
                 )
-                for agent, blocks in doc["partitions"].items()
+                for agent, blocks in _json_object(doc["partitions"], '"partitions"').items()
             }
         except (KeyError, TypeError) as exc:
             raise InvalidElement(f"malformed Aumann document: {exc}") from None
@@ -568,19 +547,17 @@ class AumannScs:
 
 
 def aumann_to_scs(a: AumannStructure) -> AumannScs:
-    """Induced agent system: events under reverse inclusion, knowledge maps."""
-    if len(a.states) > MAX_POINTED_STATES:
-        raise TooLarge(f"{len(a.states)} states exceeds the cap of {MAX_POINTED_STATES}")
-    sets = SetLattice(list(a.states))
-    agents = {}
-    for agent in sorted(a.partitions):
-        images = []
-        for mask in range(1 << len(a.states)):
-            event = frozenset(s for i, s in enumerate(a.states) if mask >> i & 1)
-            known = aumann_know(a, agent, event)
-            images.append(sum(1 << i for i, s in enumerate(a.states) if s in known))
-        agents[agent] = SpaceFunction(sets.lattice, tuple(images))
-    return AumannScs(a, sets, Scs(sets.lattice, agents))
+    """Induced agent system: events under reverse inclusion, knowledge maps.
+
+    The structure is the S5 Kripke model whose relations are the partition
+    equivalences, so each knowledge map is that model's box operator.
+    """
+    relations = {
+        agent: frozenset((s, t) for block in blocks for s in block for t in block)
+        for agent, blocks in a.partitions.items()
+    }
+    induced = _induce((KripkeModel(a.states, (), {}, relations),))
+    return AumannScs(a, induced.sets, induced.scs)
 
 
 def load_kripke_models(paths: Sequence[str]) -> list[KripkeModel]:

@@ -397,20 +397,25 @@ def subset_labels(ground, masks) -> list[str]:
     return out
 
 
+def powerset_order(ground) -> tuple[list[str], np.ndarray]:
+    """Labels and inclusion matrix of the subsets of `ground`, indexed by
+    bitmask over the ground order; the element cap is checked first."""
+    ground = [str(x) for x in ground]
+    if len(set(ground)) != len(ground):
+        raise InvalidElement("ground labels must be distinct")
+    if 1 << len(ground) > MAX_ELEMENTS:
+        raise TooLarge(f"2^{len(ground)} elements exceeds the cap of {MAX_ELEMENTS}")
+    masks = np.arange(1 << len(ground), dtype=np.int64)
+    return subset_labels(ground, masks.tolist()), (masks[:, None] & ~masks[None, :]) == 0
+
+
 def powerset_lattice(ground) -> FiniteLattice:
     """Powerset of `ground` ordered by inclusion; join is union.
 
     Element ids are subset bitmasks over the ground order, so id 0 is the
     empty set (the bottom).
     """
-    ground = [str(x) for x in ground]
-    if len(set(ground)) != len(ground):
-        raise InvalidElement("ground labels must be distinct")
-    n = 1 << len(ground)
-    _check_elements(n)
-    masks = np.arange(n, dtype=np.int64)
-    leq = (masks[:, None] & ~masks[None, :]) == 0
-    return FiniteLattice(subset_labels(ground, range(n)), leq)
+    return FiniteLattice(*powerset_order(ground))
 
 
 def chain_lattice(k: int) -> FiniteLattice:

@@ -47,8 +47,9 @@ def random_pointset(rng, dim: int, sizes: tuple[int, int] = (0, 5), span: int = 
 
 
 def random_kripke_models(rng) -> list[epistemic.KripkeModel]:
-    """One or two models over p and q: 2 to MAX_POINTED_STATES states, 1 to 3 agents."""
-    total = rng.randint(2, epistemic.MAX_POINTED_STATES)
+    """One or two models over p and q: 2 to 4 states, 1 to 3 agents.  The
+    literal bound, not the cap's 10, keeps the seeded instances and runtime."""
+    total = rng.randint(2, 4)
     if rng.choice([1, 1, 2]) == 1:
         split = [total]
     else:
@@ -66,9 +67,10 @@ def random_kripke_models(rng) -> list[epistemic.KripkeModel]:
 
 
 def random_aumann(rng) -> epistemic.AumannStructure:
-    """2 to MAX_POINTED_STATES states and 1 to 3 agents, each partitioning the
-    shuffled states by joining a random block or opening a new one."""
-    states = tuple(f"s{i}" for i in range(rng.randint(2, epistemic.MAX_POINTED_STATES)))
+    """2 to 4 states (a literal bound, as in random_kripke_models) and 1 to 3
+    agents, each partitioning the shuffled states by joining a random block
+    or opening a new one."""
+    states = tuple(f"s{i}" for i in range(rng.randint(2, 4)))
     partitions = {}
     for agent in [str(i + 1) for i in range(rng.randint(1, 3))]:
         order, blocks = list(states), []

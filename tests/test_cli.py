@@ -303,18 +303,28 @@ def test_lattice_check_over_the_element_cap_fails_fast(tmp_path):
     assert out.stderr.startswith("ERROR TooLarge:")
 
 
-def test_kripke_relation_pairs_given_as_strings(tmp_path):
+@pytest.mark.parametrize("doc", [
+    '{"states": ["s", "u"], "props": ["p"], "rel": {"1": ["su", "us"]}}',
+    '{"states": ["s"], "val": []}',
+    '{"states": ["s"], "rel": []}',
+    '{"states": ["s"], "props": ["p"], "val": {"s": [1]}}',
+], ids=["pairs", "val-array", "rel-array", "row-array"])
+def test_kripke_relation_pairs_given_as_strings(doc, tmp_path):
     path = tmp_path / "model.json"
-    path.write_text('{"states": ["s", "u"], "props": ["p"], "rel": {"1": ["su", "us"]}}')
+    path.write_text(doc)
     out = run_cli("kripke", "--model", str(path), "--formula", "[]1 p")
     assert out.returncode == 1
     assert out.stderr.count("\n") == 1
     assert out.stderr.startswith("ERROR InvalidElement:")
 
 
-def test_aumann_blocks_given_as_strings(tmp_path):
+@pytest.mark.parametrize("doc", [
+    '{"states": ["a", "b", "c"], "partitions": {"1": ["ab", "c"]}}',
+    '{"states": ["s"], "partitions": []}',
+], ids=["blocks", "partitions-array"])
+def test_aumann_blocks_given_as_strings(doc, tmp_path):
     path = tmp_path / "model.json"
-    path.write_text('{"states": ["a", "b", "c"], "partitions": {"1": ["ab", "c"]}}')
+    path.write_text(doc)
     out = run_cli("aumann", "--model", str(path), "--group", "1", "--event", "a,b")
     assert out.returncode == 1
     assert out.stderr.count("\n") == 1

@@ -66,6 +66,13 @@ def test_boolean_cs_unknown_prop():
         bc.evaluate(ep.parse_formula("q"))
 
 
+def test_boolean_cs_has_no_agents():
+    bc = ep.boolean_cs(["p"])
+    for text in ("[]1 p", "D{1} p"):
+        with pytest.raises(UnknownAgent):
+            bc.evaluate(ep.parse_formula(text))
+
+
 # -- formula parsing --------------------------------------------------------------
 
 
@@ -149,9 +156,13 @@ def test_kripke_empty_relations_give_constant_bottom():
 
 
 def test_kripke_caps():
-    m = ep.KripkeModel(tuple("abcde"), (), {}, {"1": frozenset()})
+    # 11 states give 2^11 > MAX_ELEMENTS elements; Aumann structures share the construction
+    states = tuple(f"s{i}" for i in range(11))
+    m = ep.KripkeModel(states, (), {}, {"1": frozenset()})
     with pytest.raises(TooLarge):
         ep.kripke_to_scs([m])
+    with pytest.raises(TooLarge):
+        ep.aumann_to_scs(ep.AumannStructure(states, {"1": (frozenset(states),)}))
 
 
 def test_kripke_rejects_bad_relation():
@@ -192,9 +203,20 @@ def test_kripke_json_round_trip(two_state_model, tmp_path):
 # -- Kripke distributed-knowledge equivalence ----------------------------------------
 
 
+def _wide_model_sets(rng, sizes):
+    """One model set per pointed-state count in `sizes`, each two seeded draws joined."""
+    found = {}
+    while found.keys() != set(sizes):
+        models = selfcheck.random_kripke_models(rng) + selfcheck.random_kripke_models(rng)
+        if len(ep.pointed_states(models)) in sizes:
+            found.setdefault(len(ep.pointed_states(models)), models)
+    return [found[n] for n in sizes]
+
+
 def test_kripke_delta_equals_intersection_knowledge_seeded():
     rng = random.Random(20260809)
-    selfcheck.kripke_knowledge(selfcheck.random_kripke_models(rng) for _ in range(100))
+    model_sets = [selfcheck.random_kripke_models(rng) for _ in range(100)]
+    selfcheck.kripke_knowledge(model_sets + _wide_model_sets(rng, range(5, 9)))
 
 
 def test_kripke_delta_matches_enumeration_oracle():
@@ -365,9 +387,21 @@ def test_aumann_to_scs_closure_operators(grid_structure):
         assert kind.idempotent and kind.extensive
 
 
+# Eight states and three agents: more than the seeded draws reach.
+WIDE_AUMANN = ep.AumannStructure(
+    states=tuple("12345678"),
+    partitions={
+        "1": (frozenset("1234"), frozenset("5678")),
+        "2": (frozenset("12"), frozenset("3456"), frozenset("7"), frozenset("8")),
+        "3": (frozenset("15"), frozenset("26"), frozenset("37"), frozenset("48")),
+    },
+)
+
+
 def test_aumann_delta_equals_block_knowledge_seeded():
     rng = random.Random(20260810)
-    selfcheck.aumann_knowledge(selfcheck.random_aumann(rng) for _ in range(100))
+    structs = [selfcheck.random_aumann(rng) for _ in range(100)]
+    selfcheck.aumann_knowledge(structs + [WIDE_AUMANN])
 
 
 def test_aumann_empty_group_is_least_space():
