@@ -100,7 +100,9 @@ def cmd_aumann(args) -> int:
     unknown = event - set(struct.states)
     if unknown:
         raise InvalidElement(f"unknown states in event: {sorted(unknown)}")
-    known = epistemic.aumann_dk(struct, group, event)
+    induced = epistemic.aumann_to_scs(struct)
+    pooled = distributed.delta_group(induced.scs, sorted(set(group)))
+    known = induced.set_of(pooled.images[induced.element_of(event)])
     print(f"distributed knowledge of {{{','.join(sorted(event))}}} "
           f"in group {{{','.join(sorted(set(group)))}}}:")
     print("  {" + ",".join(sorted(known)) + "}")

@@ -2,6 +2,7 @@ import itertools
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -79,6 +80,27 @@ def pair_scan_violation(lattice, images):
         if images[jt[a][b]] != jt[images[a]][images[b]]:
             return ls.AxiomViolation("S.2", (a, b))
     return None
+
+
+def bound_table_reference(labels, above, kind):
+    """Reference for the join table (the meet table from the transposed
+    relation): for each pair (a, b), a <= b in row-major order, look up the
+    element whose above-set is above[a] & above[b] in a dict of packed rows,
+    and name the first pair that has none."""
+    n = len(labels)
+    packed = np.packbits(above.astype(np.uint8), axis=1)
+    row_id = {packed[i].tobytes(): i for i in range(n)}
+    table = np.zeros((n, n), dtype=np.int32)
+    for a in range(n):
+        common = packed[a] & packed
+        for b in range(a, n):
+            bound = row_id.get(common[b].tobytes())
+            if bound is None:
+                raise ls.NotALattice(
+                    f"pair ({labels[a]!r}, {labels[b]!r}) has no unique {kind} bound"
+                )
+            table[a, b] = table[b, a] = bound
+    return table
 
 
 # Non-distributive shapes stacked above a powerset's top: (new labels, covers

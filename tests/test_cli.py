@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 import time
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from latspace import selfcheck
+from latspace import cli, epistemic, selfcheck
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -128,6 +129,38 @@ def test_aumann_event(fixture_dir):
     )
     assert out.returncode == 0
     assert "{2,3}" in out.stdout.splitlines()[-1]
+
+
+def test_aumann_over_ten_states_is_too_large(tmp_path):
+    states = [f"s{i}" for i in range(11)]
+    path = tmp_path / "eleven.json"
+    path.write_text(json.dumps({"states": states, "partitions": {"1": [states]}}))
+    out = run_cli("aumann", "--model", str(path), "--group", "1", "--event", "s0")
+    assert out.returncode == 1
+    assert out.stderr.count("\n") == 1
+    assert out.stderr.startswith("ERROR TooLarge:")
+
+
+def test_aumann_output_equals_the_reference_operator(tmp_path, capsys):
+    rng = random.Random(8)
+    for k in range(20):
+        struct = selfcheck.random_aumann(rng)
+        agents = sorted(struct.partitions)
+        group = rng.sample(agents, rng.randint(1, len(agents)))
+        event = frozenset(s for s in struct.states if rng.random() < 0.6) or {struct.states[0]}
+        path = tmp_path / f"structure{k}.json"
+        path.write_text(json.dumps({
+            "states": list(struct.states),
+            "partitions": {a: [sorted(b) for b in blocks] for a, blocks in struct.partitions.items()},
+        }))
+        code = cli.main(["aumann", "--model", str(path), "--group", ",".join(group),
+                         "--event", ",".join(sorted(event))])
+        known = epistemic.aumann_dk(struct, group, event)
+        assert (code, capsys.readouterr().out) == (0, (
+            f"distributed knowledge of {{{','.join(sorted(event))}}} "
+            f"in group {{{','.join(sorted(group))}}}:\n"
+            "  {" + ",".join(sorted(known)) + "}\n"
+        ))
 
 
 def test_morph_ddilate_disjoint_is_all_white(fixture_dir, tmp_path):

@@ -16,7 +16,7 @@ from latspace.errors import (
     TooLarge,
 )
 
-from conftest import STACKS, stacked_lattice
+from conftest import STACKS, bound_table_reference, stacked_lattice
 
 
 @pytest.fixture(scope="module")
@@ -74,16 +74,29 @@ def test_m2_is_the_four_element_boolean_algebra(m2):
 
 def test_bowtie_is_not_a_lattice():
     # two incomparable minimal upper bounds for the bottom pair
-    with pytest.raises(NotALattice):
+    with pytest.raises(NotALattice) as err:
         ls.build_lattice(
             ["a", "b", "c", "d"],
             [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")],
         )
+    assert str(err.value) == "pair ('a', 'b') has no unique least upper bound"
+
+
+def test_shared_keys_do_not_hide_a_missing_bound():
+    # a and b share their up-set on the meet-irreducibles {t, u, p, q}, and t
+    # and u their down-set on the join-irreducibles {a, b, p, q}
+    labels = ["t", "0", "a", "b", "u", "v", "p", "q", "1"]
+    covers = [("0", "a"), ("0", "b"), ("a", "t"), ("b", "t"), ("a", "u"), ("b", "u"),
+              ("t", "v"), ("u", "v"), ("v", "p"), ("v", "q"), ("p", "1"), ("q", "1")]
+    with pytest.raises(NotALattice) as err:
+        ls.build_lattice(labels, covers)
+    assert str(err.value) == "pair ('a', 'b') has no unique least upper bound"
 
 
 def test_cover_cycle_is_rejected():
-    with pytest.raises(NotAntisymmetric):
+    with pytest.raises(NotAntisymmetric) as err:
         ls.build_lattice(["a", "b"], [("a", "b"), ("b", "a")])
+    assert str(err.value) == "cycle through 'a' and 'b'"
 
 
 def test_intransitive_order_names_the_first_missing_pair():
@@ -217,6 +230,95 @@ def test_bound_laws_exhaustive(canonical):
 
 def test_absorption_exhaustive(canonical):
     selfcheck.absorption_laws(canonical)
+
+
+# -- bound tables against the per-pair reference -------------------------------------
+
+
+def assert_bound_tables_match_reference(labels, leq) -> bool:
+    """The constructor's tables, or its NotALattice text, equal those of the
+    per-pair reference, join table first; returns whether leq is a lattice."""
+    labels = tuple(labels)
+    try:
+        want = (bound_table_reference(labels, leq, "least upper"),
+                bound_table_reference(labels, leq.T, "greatest lower"))
+    except NotALattice as exc:
+        with pytest.raises(NotALattice) as err:
+            ls.FiniteLattice(labels, leq)
+        assert str(err.value) == str(exc)
+        return False
+    lat = ls.FiniteLattice(labels, leq)
+    assert np.array_equal(lat.join_table, want[0])
+    assert np.array_equal(lat.meet_table, want[1])
+    return True
+
+
+def random_order(rng, n):
+    """A seeded random partial order on n shuffled ids, often given a
+    greatest or a least element so that failures lie deeper in the table."""
+    rank = list(range(n))
+    rng.shuffle(rank)
+    density = rng.uniform(0.1, 0.5)
+    leq = np.eye(n, dtype=bool)
+    for i, j in itertools.permutations(range(n), 2):
+        if rank[i] < rank[j] and rng.random() < density:
+            leq[i, j] = True
+    if n > 2 and rng.random() < 0.5:
+        leq[:, rank.index(n - 1)] = True
+    if n > 2 and rng.random() < 0.5:
+        leq[rank.index(0)] = True
+    for m in range(n):
+        leq |= leq[:, m : m + 1] & leq[m : m + 1, :]
+    return leq
+
+
+def test_bound_tables_match_reference_on_fixed_lattices(lattices):
+    shapes = [*lattices.values(), *(stacked_lattice(k, s) for k in range(4) for s in STACKS),
+              *(ls.powerset_lattice([f"g{i}" for i in range(k)]) for k in range(7))]
+    for lat in shapes:
+        assert_bound_tables_match_reference(lat.labels, np.asarray(lat.leq))
+
+
+@pytest.mark.parametrize("k", [2, 3, 8, 9, 63, 64, 65, 66, 129, 130])
+def test_bound_tables_match_reference_on_chains(k):
+    # keys of the longest chains span more than 64 bits
+    lat = ls.chain_lattice(k)
+    assert_bound_tables_match_reference(lat.labels, np.asarray(lat.leq))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_bound_tables_match_reference_on_downset_lattices(seed):
+    lat = ls.random_distributive_lattice(random.Random(seed), points=7)
+    assert_bound_tables_match_reference(lat.labels, np.asarray(lat.leq))
+
+
+def test_bound_tables_match_reference_across_row_blocks():
+    # past 128 elements a table is built in more than one block of rows; the
+    # pair the bowtie above the powerset leaves unbounded lies past the first
+    lat = stacked_lattice(8, "M3")
+    assert_bound_tables_match_reference(lat.labels, np.asarray(lat.leq))
+    base = ls.powerset_lattice([f"g{i}" for i in range(8)])
+    top = base.labels[base.top_id]
+    labels = [*base.labels, "x", "y", "z", "w"]
+    index = {label: i for i, label in enumerate(labels)}
+    leq = np.eye(len(labels), dtype=bool)
+    bowtie = [(top, "x"), (top, "y"), ("x", "z"), ("y", "z"), ("x", "w"), ("y", "w")]
+    for lo, hi in base.cover_pairs() + bowtie:
+        leq[index[lo], index[hi]] = True
+    for m in range(len(labels)):
+        leq |= leq[:, m : m + 1] & leq[m : m + 1, :]
+    assert_bound_tables_match_reference(labels, leq)
+
+
+def test_bound_tables_match_reference_on_random_orders():
+    rng = random.Random(2024)
+    lattices = 0
+    for _ in range(240):
+        n = rng.randint(1, 12)
+        lattices += assert_bound_tables_match_reference([f"x{i}" for i in range(n)],
+                                                        random_order(rng, n))
+    assert lattices < 120  # most of the orders are not lattices
 
 
 # -- subtraction ----------------------------------------------------------------
