@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import random
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 
 from latspace import cli, epistemic, selfcheck
 
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -398,3 +402,60 @@ def test_project_group_golden_output(fixture_dir, at):
     scs = str(fixture_dir / "m2_scs.json")
     out = run_cli("project", "--scs", scs, "--group", "1,2", "--kind", "group", "--at", at)
     assert (out.returncode, out.stdout, out.stderr) == (0, M2_GROUP_PROJECTIONS[at] + "\n", "")
+
+
+# Golden output of in-process `cli.main` over the fixtures, one entry per
+# command.  `{fixtures}` and `{out}` stand for the fixture directory and the
+# `--out` file of `morph`, whose PBM text is recorded as well.  Regenerate
+# with `PYTHONPATH=src python tests/test_cli.py` only when an output change
+# is intended.
+GOLDEN_PATH = Path(__file__).resolve().parent / "cli_golden.json"
+GOLDEN_COMMANDS = [
+    ["lattice-check", "{fixtures}/m2.json"],
+    ["scs-check", "{fixtures}/m2_scs.json"],
+    *[["delta", "--scs", "{fixtures}/m2_scs.json", "--group", "1,2", "--method", method,
+       "--emit", emit] for method in ("tuple", "subtract", "oracle") for emit in ("table", "json")],
+    ["delta", "--scs", "{fixtures}/m2_scs.json", "--group", "2", "--method", "subtract"],
+    ["delta", "--scs", "{fixtures}/m2_scs.json", "--group", "1,2", "--at", "p∧¬p"],
+    ["delta", "--scs", "{fixtures}/m2_scs.json", "--group", "1,3"],
+    ["project", "--scs", "{fixtures}/m2_scs.json", "--group", "1", "--at", "p", "--kind", "agent"],
+    ["project", "--scs", "{fixtures}/m2_scs.json", "--group", "1,2", "--at", "p∨¬p", "--kind", "join"],
+    ["project", "--scs", "{fixtures}/m2_scs.json", "--group", "1,2", "--at", "¬p", "--kind", "group"],
+    *[["kripke", "--model", "{fixtures}/kripke_pair.json", "--formula", formula]
+      for formula in ("D{1,2} ~p", "[]1 p", "[]2 p | ~[]1 F", "~(p & T) | D{2} F", "q", "[]3 p", "p &")],
+    ["kripke", "--model", "{fixtures}/kripke_pair.json", "--model", "{fixtures}/kripke_pair.json",
+     "--formula", "D{1} ~p & ~[]2 p"],
+    *[["aumann", "--model", "{fixtures}/aumann_grid.json", "--group", group, "--event", event]
+      for group, event in (("1,2", "2,3"), ("1", "1,2,3"), ("2,1", "4"), ("2", "1,3"), ("3", "1"), ("1", "9"))],
+    *[["morph", "--op", op, "--image", "{fixtures}/image_t.pbm", "--se", "{fixtures}/" + se,
+       "--out", "{out}"] for op, se in (("dilate", "se_vertical.pbm"), ("erode", "se_vertical.pbm"))],
+    ["morph", "--op", "ddilate", "--image", "{fixtures}/image_t.pbm", "--se", "{fixtures}/se_a.pbm",
+     "--se2", "{fixtures}/se_b.pbm", "--out", "{out}"],
+]
+
+
+def _run_golden(argv, out_path: Path) -> dict:
+    """Exit code, stdout, stderr and (for `morph`) the written PBM of one command."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main([a.replace("{fixtures}", str(FIXTURE_DIR)).replace("{out}", str(out_path))
+                         for a in argv])
+    result = {"argv": argv, "code": code,
+              "stdout": stdout.getvalue().replace(str(out_path), "{out}"),
+              "stderr": stderr.getvalue()}
+    if argv[0] == "morph":
+        result["pbm"] = out_path.read_text(encoding="utf-8")
+    return result
+
+
+@pytest.mark.parametrize("index", range(len(GOLDEN_COMMANDS)))
+def test_cli_output_matches_golden_file(index, tmp_path):
+    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    assert len(golden) == len(GOLDEN_COMMANDS)
+    assert _run_golden(GOLDEN_COMMANDS[index], tmp_path / "out.pbm") == golden[index]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        entries = [_run_golden(argv, Path(tmp) / "out.pbm") for argv in GOLDEN_COMMANDS]
+    GOLDEN_PATH.write_text(json.dumps(entries, ensure_ascii=False, indent=1) + "\n", encoding="utf-8")
