@@ -101,8 +101,7 @@ def cmd_aumann(args) -> int:
     if unknown:
         raise InvalidElement(f"unknown states in event: {sorted(unknown)}")
     induced = epistemic.aumann_to_scs(struct)
-    pooled = distributed.delta_group(induced.scs, sorted(set(group)))
-    known = induced.set_of(pooled.images[induced.element_of(event)])
+    known = induced.set_of(induced.delta(group).images[induced.element_of(event)])
     print(f"distributed knowledge of {{{','.join(sorted(event))}}} "
           f"in group {{{','.join(sorted(set(group)))}}}:")
     print("  {" + ",".join(sorted(known)) + "}")
@@ -203,6 +202,9 @@ def main(argv=None) -> int:
         return 1
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"ERROR FormatError: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:  # deep JSON arrays, formulas, or formula chains
+        print("ERROR FormatError: input nests too deeply", file=sys.stderr)
         return 1
 
 

@@ -180,42 +180,6 @@ def _json_object(value, what: str) -> dict:
     return value
 
 
-# -- reverse-inclusion powerset scaffolding --------------------------------------
-
-
-class SetLattice:
-    """A powerset-of-universe lattice under reverse inclusion.
-
-    Element ids are subset bitmasks over the universe order, so the
-    complement (formula negation) stays inside the lattice.
-    """
-
-    def __init__(self, universe_labels: Sequence[str]):
-        self.universe = tuple(universe_labels)
-        labels, leq = powerset_order(self.universe)
-        self.lattice = FiniteLattice(labels, leq.T)
-        self.full_mask = (1 << len(self.universe)) - 1
-        self._index = {lab: i for i, lab in enumerate(self.universe)}
-
-    def element_of(self, members: Iterable[str]) -> int:
-        mask = 0
-        for m in members:
-            if m not in self._index:
-                raise InvalidElement(f"unknown universe member {m!r}")
-            mask |= 1 << self._index[m]
-        return mask
-
-    def set_of(self, element: int) -> frozenset[str]:
-        self.lattice.check_id(element)
-        return frozenset(
-            lab for i, lab in enumerate(self.universe) if element >> i & 1
-        )
-
-    def complement(self, element: int) -> int:
-        self.lattice.check_id(element)
-        return self.full_mask ^ element
-
-
 # -- Kripke models --------------------------------------------------------------
 
 
@@ -329,11 +293,16 @@ def kripke_dk(
 
 @dataclass
 class KripkeScs:
-    """Induced agent system over the pointed-state powerset (reversed)."""
+    """Induced agent system over the reverse-inclusion powerset of its points.
+
+    Bit k of an element id is `pointed[k]`: a (model index, state) pair for
+    Kripke models and boolean assignments, a plain state for an Aumann
+    structure.  The full mask is the empty-information bottom and 0 the
+    inconsistent top, so join is intersection and negation is complement.
+    """
 
     models: tuple[KripkeModel, ...]
-    pointed: tuple[PointedState, ...]
-    sets: SetLattice
+    pointed: tuple
     scs: Scs
     _family: DeltaFamily = field(init=False, repr=False)
 
@@ -344,45 +313,43 @@ class KripkeScs:
     def lattice(self) -> FiniteLattice:
         return self.scs.lattice
 
-    def pointed_label(self, p: PointedState) -> str:
-        i, s = p
-        return s if len(self.models) == 1 else f"m{i}:{s}"
+    def pointed_label(self, p) -> str:
+        """The point's ground label: its state, or `m<i>:state` when the
+        points span several models."""
+        return self.lattice.labels[self.element_of([p])][1:-1]
 
-    def element_of(self, members: Iterable[PointedState]) -> int:
-        return self.sets.element_of([self.pointed_label(p) for p in members])
+    def element_of(self, members: Iterable) -> int:
+        mask = 0
+        for p in members:
+            if p not in self.pointed:
+                raise InvalidElement(f"unknown universe member {p!r}")
+            mask |= 1 << self.pointed.index(p)
+        return mask
 
-    def set_of(self, element: int) -> frozenset[PointedState]:
-        labels = self.sets.set_of(element)
-        return frozenset(p for p in self.pointed if self.pointed_label(p) in labels)
+    def set_of(self, element: int) -> frozenset:
+        self.lattice.check_id(element)
+        return frozenset(p for k, p in enumerate(self.pointed) if element >> k & 1)
 
     def delta(self, group) -> SpaceFunction:
         return self._family.get(group)
 
     def evaluate(self, formula: Formula) -> int:
-        """Interpret a modal formula as its set of satisfying pointed states."""
+        """Interpret a modal formula as the mask of its satisfying points."""
         if isinstance(formula, Atom):
-            members = []
-            for i, m in enumerate(self.models):
-                if formula.name not in m.props:
-                    raise UnknownProp(f"unknown proposition {formula.name!r}")
-                members.extend(
-                    (i, s) for s in m.states if m.valuation[s][formula.name]
-                )
-            return self.element_of(members)
+            if any(formula.name not in m.props for m in self.models):
+                raise UnknownProp(f"unknown proposition {formula.name!r}")
+            return sum(1 << k for k, (i, s) in enumerate(pointed_states(self.models))
+                       if self.models[i].valuation[s][formula.name])
         if isinstance(formula, Top):
-            return self.sets.full_mask
+            return self.lattice.bottom_id
         if isinstance(formula, Bottom):
             return 0
         if isinstance(formula, Not):
-            return self.sets.complement(self.evaluate(formula.arg))
+            return self.lattice.bottom_id ^ self.evaluate(formula.arg)
         if isinstance(formula, And):
-            return self.lattice.join_of(
-                [self.evaluate(formula.left), self.evaluate(formula.right)]
-            )
+            return self.evaluate(formula.left) & self.evaluate(formula.right)
         if isinstance(formula, Or):
-            return self.lattice.meet_of(
-                [self.evaluate(formula.left), self.evaluate(formula.right)]
-            )
+            return self.evaluate(formula.left) | self.evaluate(formula.right)
         if isinstance(formula, Box):
             return self.scs.agent(formula.agent).images[self.evaluate(formula.arg)]
         if isinstance(formula, Dk):
@@ -395,11 +362,12 @@ def _induce(models: tuple[KripkeModel, ...]) -> KripkeScs:
 
     Bit k of an element mask is pointed state k, and an agent maps a mask
     x to the states whose successor mask lies inside x: the box operator,
-    which validates against the space axioms.  SetLattice raises TooLarge
-    before any work past 10 pointed states (2^k > MAX_ELEMENTS).
+    which validates against the space axioms.  `powerset_order` raises
+    TooLarge before any work past 10 pointed states (2^k > MAX_ELEMENTS).
     """
     pts = pointed_states(models)
-    sets = SetLattice([s if len(models) == 1 else f"m{i}:{s}" for i, s in pts])
+    labels, leq = powerset_order([s if len(models) == 1 else f"m{i}:{s}" for i, s in pts])
+    lattice = FiniteLattice(labels, leq.T)
     bit = {p: 1 << k for k, p in enumerate(pts)}
     masks = np.arange(1 << len(pts), dtype=np.int64)[:, None]
     weights = np.array(list(bit.values()), dtype=np.int64)
@@ -410,8 +378,8 @@ def _induce(models: tuple[KripkeModel, ...]) -> KripkeScs:
             for s, t in m.relations.get(agent, ()):
                 succ[i, s] |= bit[i, t]
         inside = (np.array(list(succ.values()), dtype=np.int64) & ~masks) == 0
-        agents[agent] = SpaceFunction(sets.lattice, tuple((inside @ weights).tolist()))
-    return KripkeScs(models, tuple(pts), sets, Scs(sets.lattice, agents))
+        agents[agent] = SpaceFunction(lattice, tuple((inside @ weights).tolist()))
+    return KripkeScs(models, tuple(pts), Scs(lattice, agents))
 
 
 def kripke_to_scs(models: Sequence[KripkeModel]) -> KripkeScs:
@@ -529,35 +497,19 @@ def aumann_dk(a: AumannStructure, group, event: frozenset[str]) -> frozenset[str
     return frozenset(out)
 
 
-@dataclass
-class AumannScs:
-    structure: AumannStructure
-    sets: SetLattice
-    scs: Scs
-
-    @property
-    def lattice(self) -> FiniteLattice:
-        return self.scs.lattice
-
-    def element_of(self, event: Iterable[str]) -> int:
-        return self.sets.element_of(event)
-
-    def set_of(self, element: int) -> frozenset[str]:
-        return self.sets.set_of(element)
-
-
-def aumann_to_scs(a: AumannStructure) -> AumannScs:
+def aumann_to_scs(a: AumannStructure) -> KripkeScs:
     """Induced agent system: events under reverse inclusion, knowledge maps.
 
     The structure is the S5 Kripke model whose relations are the partition
-    equivalences, so each knowledge map is that model's box operator.
+    equivalences, so each knowledge map is that model's box operator; its
+    points are the plain states, so `set_of` returns events.
     """
     relations = {
         agent: frozenset((s, t) for block in blocks for s in block for t in block)
         for agent, blocks in a.partitions.items()
     }
     induced = _induce((KripkeModel(a.states, (), {}, relations),))
-    return AumannScs(a, induced.sets, induced.scs)
+    return KripkeScs(induced.models, a.states, induced.scs)
 
 
 def load_kripke_models(paths: Sequence[str]) -> list[KripkeModel]:

@@ -18,7 +18,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import InvalidElement, NotALattice, NotAntisymmetric, TooLarge
+from .errors import InvalidElement, NotALattice, NotAntisymmetric, NotDistributive, TooLarge
 
 # Largest lattice built.  Construction is super-quadratic: a powerset
 # builds in about 0.24 s at 1024 elements and 1.5 s at 2048 (see README).
@@ -293,25 +293,19 @@ class FiniteLattice:
     def subtract_table(self) -> np.ndarray:
         """Full n x n table, table[d, c] = subtract(d, c), built on first use.
 
-        On a distributive lattice d minus c is the join of the irreducibles
-        below d and not below c (Birkhoff), so the table grows from all
-        bottom by one masked join per irreducible.  Elsewhere it is filled
-        entry by entry from `subtract`.
+        Only distributive lattices have one: there d minus c is the join of
+        the irreducibles below d and not below c (Birkhoff), so the table
+        grows from all bottom by one masked join per irreducible.
         """
 
         def make():
-            n = self.n
-            if self.is_distributive:
-                jt, leq = self.join_table, self.leq
-                table = np.full((n, n), self.bottom_id, dtype=np.int32)
-                for j in self.irreducibles:
-                    sel = leq[j][:, None] & ~leq[j][None, :]  # j below d, not below c
-                    table = np.where(sel, jt[table, j], table)
-            else:
-                table = np.array(
-                    [[self.subtract(d, c) for c in range(n)] for d in range(n)],
-                    dtype=np.int32,
-                )
+            if not self.is_distributive:
+                raise NotDistributive("the subtraction table needs a distributive lattice")
+            jt, leq = self.join_table, self.leq
+            table = np.full((self.n, self.n), self.bottom_id, dtype=np.int32)
+            for j in self.irreducibles:
+                sel = leq[j][:, None] & ~leq[j][None, :]  # j below d, not below c
+                table = np.where(sel, jt[table, j], table)
             table.flags.writeable = False
             return table
 

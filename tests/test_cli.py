@@ -368,6 +368,20 @@ def test_aumann_blocks_given_as_strings(doc, tmp_path):
     assert out.stderr.startswith("ERROR InvalidElement:")
 
 
+
+@pytest.mark.parametrize("argv", [
+    ["lattice-check", "{deep}"],
+    ["kripke", "--model", "{fixtures}/kripke_pair.json", "--formula", "~" * 2000 + "p"],
+    ["kripke", "--model", "{fixtures}/kripke_pair.json", "--formula", "p" + " & p" * 5000],
+])
+def test_deep_nesting_is_one_error_line(argv, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    out = run_cli(*(a.replace("{deep}", str(deep)).replace("{fixtures}", str(FIXTURE_DIR))
+                    for a in argv))
+    assert (out.returncode, out.stderr) == (1, "ERROR FormatError: input nests too deeply\n")
+
+
 # Output of the m2_scs fixture, frozen byte for byte.
 M2_DELTA_TABLE = "p∨¬p -> p∨¬p\np    -> ¬p\n¬p   -> p∨¬p\np∧¬p -> ¬p\n"
 M2_DELTA_JSON = """{

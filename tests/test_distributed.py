@@ -74,10 +74,12 @@ def test_delta_pair_idempotent(canonical):
 
 def test_delta_pair_requires_distributive(m3):
     fs = ls.enumerate_space_functions(m3)
-    with pytest.raises(NotDistributive):
-        ls.delta_pair(m3, fs[0], fs[1])
-    with pytest.raises(NotDistributive):
-        ls.delta_pair_subtract(m3, fs[0], fs[1])
+    refusal = ("lattice is not distributive (witness triple 'd', 'b', 'c'); "
+               "use the oracle method or the raw pair formula")
+    for step in (ls.delta_pair, ls.delta_pair_subtract):
+        with pytest.raises(NotDistributive) as err:
+            step(m3, fs[0], fs[1])
+        assert str(err.value) == refusal
 
 
 def test_raw_pair_formula_matches_naive_everywhere(canonical):
@@ -188,6 +190,13 @@ def test_delta_general_matches_fold_on_distributive():
         selfcheck.random_scs(ls.random_distributive_lattice(rng), rng, 2) for _ in range(10)
     )
 
+
+
+def test_compositionality_on_random_distributive_systems():
+    rng = random.Random(31)
+    systems = [selfcheck.random_scs(ls.random_distributive_lattice(rng), rng, rng.randint(2, 4))
+               for _ in range(15)]
+    assert selfcheck.compositionality(systems) >= 15 * 16
 
 def test_delta_general_below_inputs_on_n5(n5):
     fs = ls.enumerate_space_functions(n5)

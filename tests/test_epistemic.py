@@ -35,8 +35,8 @@ def test_boolean_cs_atom_and_conjunction():
     p = bc.evaluate(ep.parse_formula("p"))
     q = bc.evaluate(ep.parse_formula("q"))
     # two assignments satisfy p; conjunction is the lattice join
-    assert len(bc.sets.set_of(p)) == 2
-    assert all(lab[0] == "1" for lab in bc.sets.set_of(p))
+    assert len(bc.set_of(p)) == 2
+    assert all(bc.pointed_label(a)[0] == "1" for a in bc.set_of(p))
     assert bc.evaluate(ep.parse_formula("p & q")) == bc.lattice.join_of([p, q])
     assert bc.evaluate(ep.parse_formula("p | q")) == bc.lattice.meet_of([p, q])
 
@@ -225,6 +225,13 @@ def test_kripke_delta_matches_enumeration_oracle():
         ep.kripke_to_scs(selfcheck.random_kripke_models(rng)).scs for _ in range(10)
     )
 
+
+
+def test_compositionality_on_induced_systems():
+    rng = random.Random(41)
+    systems = [ep.kripke_to_scs(selfcheck.random_kripke_models(rng)).scs for _ in range(15)]
+    systems += [ep.aumann_to_scs(selfcheck.random_aumann(rng)).scs for _ in range(15)]
+    assert selfcheck.compositionality(systems) >= 30 * 4
 
 def test_kripke_need_not_be_closure_operator():
     # a non-reflexive relation gives knowledge without truth

@@ -13,6 +13,7 @@ from latspace.errors import (
     InvalidElement,
     NotALattice,
     NotAntisymmetric,
+    NotDistributive,
     TooLarge,
 )
 
@@ -51,6 +52,16 @@ def one_lower_cover(lat):
 def assert_derived_structures_agree(lat):
     selfcheck.distributivity_verdicts({"lattice": (lat, triple_scan_is_distributive(lat))})
     assert lat.irreducibles == one_lower_cover(lat)
+    assert_subtract_table_matches_pointwise(lat)
+
+
+def assert_subtract_table_matches_pointwise(lat):
+    """The table equals `subtract` entry by entry; a non-distributive
+    lattice has no table and refuses it."""
+    if not lat.is_distributive:
+        with pytest.raises(NotDistributive, match="^the subtraction table needs a distributive"):
+            lat.subtract_table
+        return
     table = lat.subtract_table
     for d in range(lat.n):
         for c in range(lat.n):
@@ -311,6 +322,28 @@ def test_bound_tables_match_reference_across_row_blocks():
     assert_bound_tables_match_reference(labels, leq)
 
 
+
+def test_bound_table_key_candidate_must_be_least():
+    # key(x) & key(y) is the key of c, a common upper bound of x and y that
+    # is not least (d is another), so only the size check refuses c; row x
+    # lies in the first row block and c, d in the second
+    chain = [f"w{i}" for i in range(130)]
+    labels = ["x", "y", "bot", "mx", "my", *chain, "c", "d", "e", "e2", "m", "1"]
+    covers = [("bot", "x"), ("bot", "y"), ("x", "c"), ("y", "c"), ("x", "d"), ("y", "d"),
+              ("x", "mx"), ("y", "my"), ("mx", "1"), ("my", "1"), ("c", "e"), ("c", "e2"),
+              ("c", "m"), ("d", "e"), ("d", "e2"), ("e", "1"), ("e2", "1"), ("m", "w0"),
+              *zip(chain, chain[1:]), ("w129", "1")]
+    with pytest.raises(NotALattice) as err:
+        ls.build_lattice(labels, covers)
+    assert str(err.value) == "pair ('x', 'y') has no unique least upper bound"
+    index = {label: i for i, label in enumerate(labels)}
+    leq = np.eye(len(labels), dtype=bool)
+    for lo, hi in covers:
+        leq[index[lo], index[hi]] = True
+    for m in range(len(labels)):
+        leq |= leq[:, m : m + 1] & leq[m : m + 1, :]
+    assert not assert_bound_tables_match_reference(labels, leq)
+
 def test_bound_tables_match_reference_on_random_orders():
     rng = random.Random(2024)
     lattices = 0
@@ -340,10 +373,7 @@ def test_powerset_subtract_is_set_difference(a, b):
 
 def test_subtract_table_matches_pointwise(canonical):
     for lat in canonical.values():
-        table = lat.subtract_table
-        for d in range(lat.n):
-            for c in range(lat.n):
-                assert table[d, c] == lat.subtract(d, c)
+        assert_subtract_table_matches_pointwise(lat)
 
 
 def test_subtract_defined_on_nondistributive(m3):
