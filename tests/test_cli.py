@@ -445,6 +445,11 @@ GOLDEN_COMMANDS = [
        "--out", "{out}"] for op, se in (("dilate", "se_vertical.pbm"), ("erode", "se_vertical.pbm"))],
     ["morph", "--op", "ddilate", "--image", "{fixtures}/image_t.pbm", "--se", "{fixtures}/se_a.pbm",
      "--se2", "{fixtures}/se_b.pbm", "--out", "{out}"],
+    # 96 elements: each down-set bitset spans two 64-bit words.
+    *[["delta", "--scs", "{fixtures}/downset96_scs.json", "--group", "1,2,3", "--method", method,
+       "--emit", emit] for method in ("tuple", "subtract") for emit in ("table", "json")],
+    ["project", "--scs", "{fixtures}/downset96_scs.json", "--group", "1,2,3", "--at", "{e0,e3}",
+     "--kind", "group"],
 ]
 
 
