@@ -60,30 +60,13 @@ def pair_formula_images(lattice: FiniteLattice, f_images, g_images) -> list[int]
     """
     n = lattice.n
     jt = lattice.join_table
-    down = lattice.down_packed
-    lookup = lattice.down_packed_lookup
-    fa = np.asarray(f_images, dtype=np.int32)
-    gb = np.asarray(g_images, dtype=np.int32)
-    fg = jt[np.ix_(fa, gb)]
-
-    flat_join = jt.ravel()
-    flat_val = fg.ravel()
-    order = np.argsort(flat_join, kind="stable")
-    sorted_join = flat_join[order]
-    sorted_val = flat_val[order]
-    starts = np.searchsorted(sorted_join, np.arange(n), side="left")
-    ends = np.searchsorted(sorted_join, np.arange(n), side="right")
-
-    group_meet = np.empty((n, down.shape[1]), dtype=down.dtype)
-    for x in range(n):  # (x, x) joins to x, so every group is non-empty
-        group_meet[x] = np.bitwise_and.reduce(down[sorted_val[starts[x] : ends[x]]], axis=0)
-
-    images = []
-    leq = lattice.leq
-    for c in range(n):
-        acc = np.bitwise_and.reduce(group_meet[leq[c]], axis=0)
-        images.append(lookup[acc.tobytes()])
-    return images
+    fg = jt[np.ix_(np.asarray(f_images), np.asarray(g_images))]
+    order = np.argsort(jt, axis=None, kind="stable")
+    starts = np.searchsorted(jt.ravel()[order], np.arange(n))
+    # (x, x) joins to x and c is below c, so every run is non-empty.
+    group_meet = lattice.run_meets(fg.ravel()[order], starts)
+    cs, xs = np.nonzero(lattice.leq)
+    return lattice.run_meets(group_meet[xs], np.searchsorted(cs, np.arange(n))).tolist()
 
 
 def delta_pair_raw(
@@ -120,20 +103,15 @@ def delta_pair_subtract(
     """Same function as delta_pair, through the subtraction recursion:
     for each c, the meet of f(a) join g(c minus a) over a below c.
 
-    values[c, a] holds f(a) join g(c minus a), or top where a is not below
-    c; each row is then meet-reduced by pairwise halving of its columns.
+    The pairs a below c come in runs by c, each holding a = c.
     """
     _require_distributive(lattice)
-    jt, mt = lattice.join_table, lattice.meet_table
+    cs, a = np.nonzero(lattice.leq.T)
     fi = np.asarray(f.images, dtype=np.int32)
     gi = np.asarray(g.images, dtype=np.int32)
-    values = jt[fi[None, :], gi[lattice.subtract_table]]
-    values = np.where(lattice.leq.T, values, np.int32(lattice.top_id))
-    while values.shape[1] > 1:
-        half = values.shape[1] // 2
-        meets = mt[values[:, :half], values[:, half : 2 * half]]
-        values = np.hstack([meets, values[:, 2 * half :]])  # an odd last column waits
-    return SpaceFunction(lattice, tuple(values[:, 0].tolist()))
+    values = lattice.join_table[fi[a], gi[lattice.subtract_table[cs, a]]]
+    images = lattice.run_meets(values, np.searchsorted(cs, np.arange(lattice.n)))
+    return SpaceFunction(lattice, tuple(images.tolist()))
 
 
 def delta_tuples_direct(scs: Scs, group, c: int) -> int:

@@ -163,9 +163,6 @@ class FiniteLattice:
         except KeyError:
             raise InvalidElement(f"unknown element label {label!r}") from None
 
-    def leq_ids(self, a: int, b: int) -> bool:
-        return bool(self.leq[self.check_id(a), self.check_id(b)])
-
     def join_of(self, ids) -> int:
         """Least upper bound of a set of ids; the empty join is bottom."""
         ids = [self.check_id(x) for x in ids]
@@ -227,10 +224,11 @@ class FiniteLattice:
 
     @property
     def down_packed(self) -> np.ndarray:
-        """down_packed[x]: packed bitset of elements weakly below x."""
+        """down_packed[x]: bitset of the elements weakly below x, in uint64 words."""
 
         def make():
             packed = _pack_rows(self.leq.T.copy())
+            packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
             packed.flags.writeable = False
             return packed
 
@@ -243,6 +241,25 @@ class FiniteLattice:
             return {packed[i].tobytes(): i for i in range(self.n)}
 
         return self._cached("down_lookup", make)
+
+    def run_meets(self, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """Meet of each run values[starts[k]:starts[k + 1]] of element ids (the
+        last run ends at len(values)): the element whose down-set is the AND
+        of the run's down_packed rows.  Runs must be non-empty, since reduceat
+        gives values[starts[k]] for an empty one.  Whole runs go in blocks of
+        about _BLOCK_PAIRS rows, so temporaries stay bounded.
+        """
+        down, lookup = self.down_packed, self.down_packed_lookup
+        ends = np.append(starts[1:], len(values))
+        out = np.empty(len(starts), dtype=np.int32)
+        k = 0
+        while k < len(starts):
+            stop = max(k + 1, int(np.searchsorted(ends, starts[k] + _BLOCK_PAIRS, "right")))
+            rows = down[values[starts[k] : ends[stop - 1]]]
+            meets = np.bitwise_and.reduceat(rows, starts[k:stop] - starts[k], axis=0)
+            out[k:stop] = [lookup[row.tobytes()] for row in meets]
+            k = stop
+        return out
 
     # -- distributivity and subtraction ---------------------------------------
 
@@ -320,13 +337,7 @@ class FiniteLattice:
     # -- serialization ----------------------------------------------------------
 
     def cover_pairs(self) -> list[tuple[str, str]]:
-        c = self.cover
-        return [
-            (self.labels[a], self.labels[b])
-            for a in range(self.n)
-            for b in range(self.n)
-            if c[a, b]
-        ]
+        return [(self.labels[a], self.labels[b]) for a, b in np.argwhere(self.cover)]
 
     def to_json(self) -> dict:
         return {

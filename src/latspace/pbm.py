@@ -10,8 +10,13 @@ the form `# origin COL ROW`.
 
 from __future__ import annotations
 
-from .errors import FormatError
+from .errors import FormatError, TooLarge
 from .morphology import PointSet
+
+# Largest raster format_pbm writes.  It fills the whole grid, and an origin
+# far from the points widens the grid without bound.  2^20 pixels take
+# 0.04 s as a square and 1.4 s as one column, the slowest shape (see README).
+MAX_PIXELS = 1 << 20
 
 
 def _tokenize(text: str):
@@ -104,22 +109,21 @@ def format_pbm(points: PointSet, *, canvas: tuple[int, int, int, int] | None = N
     max_row = max([canvas[3], *rows]) if rows else canvas[3]
     width = max_col - min_col + 1
     height = max_row - min_row + 1
+    if width * height > MAX_PIXELS:
+        raise TooLarge(f"{width}x{height} raster exceeds the cap of {MAX_PIXELS} pixels")
     grid = [["0"] * width for _ in range(height)]
     for x, y in points.points:
         grid[-y - min_row][x - min_col] = "1"
     lines = ["P1", f"# origin {-min_col} {-min_row}", f"{width} {height}"]
-    for row in grid:
-        text = " ".join(row)
-        while len(text) > 68:
-            lines.append(text[:68].rstrip())
-            text = text[68:].lstrip()
-        lines.append(text)
+    for row in grid:  # 34 pixels to a line fill 67 of the 70 columns allowed
+        lines.extend(" ".join(row[i : i + 34]) for i in range(0, width, 34))
     return "\n".join(lines) + "\n"
 
 
 def write_pbm(path, points: PointSet, *, canvas: tuple[int, int, int, int] | None = None) -> None:
+    text = format_pbm(points, canvas=canvas)  # a refused raster leaves no file
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_pbm(points, canvas=canvas))
+        fh.write(text)
 
 
 def raster_canvas(width: int, height: int) -> tuple[int, int, int, int]:

@@ -229,19 +229,24 @@ def _extend(lattice: FiniteLattice, assign: dict[int, int], below) -> list[int]:
     return images
 
 
+def _irreducible_bounds(lattice: FiniteLattice, order, below) -> list[int]:
+    """For each irreducible in `order`, the meet of the bounds' images
+    there; top when there are no bounds."""
+    mt = lattice.meet_rows
+    return [
+        reduce(lambda acc, f: mt[acc][f.images[j]], below or (), lattice.top_id) for j in order
+    ]
+
+
 def enumeration_size_estimate(
     lattice: FiniteLattice, below: Sequence[SpaceFunction] | None = None
 ) -> int:
     """Upper bound on the number of candidate assignments to be visited."""
     order, _, _ = _irreducible_structure(lattice)
-    if below:
-        mt = lattice.meet_rows
-        est = 1
-        for j in order:
-            bound = reduce(lambda acc, f: mt[acc][f.images[j]], below, lattice.top_id)
-            est *= len(lattice.down_ids(bound))
-        return est
-    return lattice.n ** len(order)
+    est = 1
+    for bound in _irreducible_bounds(lattice, order, below):
+        est *= len(lattice.down_ids(bound))
+    return est
 
 
 def iter_space_functions(
@@ -270,13 +275,7 @@ def iter_space_functions(
     order, preds, below_irr = _irreducible_structure(lattice)
     leq = lattice.leq_rows
     join = lattice.join_rows
-    mt = lattice.meet_rows
-    bounds = None
-    if below is not None:
-        bounds = [
-            reduce(lambda acc, f: mt[acc][f.images[j]], below, lattice.top_id)
-            for j in order
-        ]
+    bounds = _irreducible_bounds(lattice, order, below)
     up_sets = [[y for y in range(lattice.n) if leq[x][y]] for x in range(lattice.n)]
     need_filter = not lattice.is_distributive
     assign: dict[int, int] = {}
@@ -294,7 +293,7 @@ def iter_space_functions(
         for p in preds[i]:
             floor = join[floor][assign[p]]
         for v in up_sets[floor]:
-            if bounds is not None and not leq[v][bounds[i]]:
+            if not leq[v][bounds[i]]:
                 continue
             assign[j] = v
             yield from backtrack(i + 1)

@@ -219,6 +219,25 @@ def test_morph_ddilate_requires_second_brush(fixture_dir, tmp_path):
     assert out.stderr.startswith("ERROR InvalidElement:")
 
 
+def test_morph_refuses_a_raster_over_the_pixel_cap(tmp_path, capsys):
+    # the brush origin sits 10^9 columns left of its one pixel, so the
+    # dilated points, and the canvas that must reach them, are 10^9 wide
+    brush = tmp_path / "far.pbm"
+    brush.write_text("P1\n# origin -1000000000 0\n1 1\n1\n")
+    image = tmp_path / "image.pbm"
+    image.write_text("P1\n2 2\n1 0\n0 1\n")
+    out_path = tmp_path / "out.pbm"
+    t0 = time.monotonic()
+    code = cli.main(["morph", "--op", "dilate", "--image", str(image), "--se", str(brush),
+                     "--out", str(out_path)])
+    assert time.monotonic() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1
+    assert err.startswith("ERROR TooLarge:")
+    assert not out_path.exists()
+
+
 def test_deterministic_output(fixture_dir):
     args = ("delta", "--scs", str(fixture_dir / "m2_scs.json"), "--group", "2,1", "--emit", "json")
     first, second = run_cli(*args), run_cli(*args)

@@ -277,6 +277,23 @@ def test_fold_matches_references_on_m2_and_chain(canonical):
             assert assert_fold_matches_references(canonical[name], rng, agents)
 
 
+@pytest.mark.parametrize("shape,size", [("chain", 63), ("chain", 64), ("chain", 65),
+                                        ("chain", 129), ("powerset", 6), ("powerset", 7)])
+def test_meet_reductions_match_references_past_one_word(shape, size):
+    # down-sets of 65 or more elements span more than one 64-bit word
+    if shape == "chain":
+        lat = ls.chain_lattice(size)
+    else:
+        lat = ls.powerset_lattice([f"g{i}" for i in range(size)])
+    rng = random.Random(size)
+    for _ in range(2):
+        f, g = ls.random_space_function(lat, rng), ls.random_space_function(lat, rng)
+        assert ls.delta_pair_subtract(lat, f, g).images == subtract_recursion_reference(
+            lat, f.images, g.images
+        )
+        assert pair_formula_images(lat, f.images, g.images) == naive_pair_formula(lat, f, g)
+
+
 def assert_fold_refuses(lat):
     rng = random.Random(11)
     f, g = ls.random_space_function(lat, rng), ls.random_space_function(lat, rng)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import latspace as ls
 from latspace import selfcheck
+from latspace.lattice import _BLOCK_PAIRS as BLOCK_PAIRS
 from latspace.errors import (
     InvalidElement,
     NotALattice,
@@ -352,6 +353,26 @@ def test_bound_tables_match_reference_on_random_orders():
         lattices += assert_bound_tables_match_reference([f"x{i}" for i in range(n)],
                                                         random_order(rng, n))
     assert lattices < 120  # most of the orders are not lattices
+
+
+@pytest.mark.parametrize("name", ["M3", "N5", "chain63", "chain64", "chain65", "chain129",
+                                  "powerset6", "powerset7"])
+def test_run_meets_matches_meet_of(lattices, name):
+    # down-sets of 64 or fewer elements fill one word, of 65 or more two or
+    # three; short runs fill more than one block around a run longer than it
+    if name.startswith("chain"):
+        lat = ls.chain_lattice(int(name[5:]))
+    elif name.startswith("powerset"):
+        lat = ls.powerset_lattice([f"g{i}" for i in range(int(name[8:]))])
+    else:
+        lat = lattices[name]
+    rng = random.Random(name)
+    lengths = [rng.choice([1, 1, 2, 3, 9]) for _ in range(3000)]
+    lengths[1500] = BLOCK_PAIRS + 5
+    values = np.array([rng.randrange(lat.n) for _ in range(sum(lengths))])
+    starts = np.cumsum([0, *lengths[:-1]])
+    expected = [lat.meet_of(values[s : s + m]) for s, m in zip(starts, lengths)]
+    assert lat.run_meets(values, starts).tolist() == expected
 
 
 # -- subtraction ----------------------------------------------------------------
