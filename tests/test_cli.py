@@ -469,6 +469,10 @@ GOLDEN_COMMANDS = [
        "--emit", emit] for method in ("tuple", "subtract") for emit in ("table", "json")],
     ["project", "--scs", "{fixtures}/downset96_scs.json", "--group", "1,2,3", "--at", "{e0,e3}",
      "--kind", "group"],
+    # Down-sets of a 9-point poset: 9 join-irreducibles, so each element's
+    # key on them spans two bytes.
+    ["delta", "--scs", "{fixtures}/downset63_scs.json", "--group", "1,2,3", "--method", "subtract",
+     "--emit", "json"],
 ]
 
 
