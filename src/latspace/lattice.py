@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,9 +29,19 @@ MAX_ELEMENTS = 1024
 _BLOCK_PAIRS = 1 << 14
 
 
-def _pack_rows(mat: np.ndarray) -> np.ndarray:
-    """Pack each boolean row into bytes for fast hashing/intersection."""
-    return np.packbits(mat.astype(np.uint8), axis=1)
+class _KeyIndex(NamedTuple):
+    """Each element's key, rows[x], packed into bytes, and `order`, the ids
+    in ascending key order.  In a lattice the keys are distinct."""
+
+    rows: np.ndarray
+    order: np.ndarray
+    sorted_keys: np.ndarray
+
+    def find(self, rows: np.ndarray) -> np.ndarray:
+        """Id with each packed key in `rows` (C-contiguous, bytes last); a key
+        no element has yields some id, which callers verify or rule out."""
+        at = np.searchsorted(self.sorted_keys, rows.view(self.sorted_keys.dtype)[..., 0])
+        return self.order[np.minimum(at, len(self.order) - 1)]
 
 
 class FiniteLattice:
@@ -85,20 +96,22 @@ class FiniteLattice:
         cover.flags.writeable = False
         join_irr = np.flatnonzero(cover.sum(axis=0) == 1)  # one lower cover
         meet_irr = np.flatnonzero(cover.sum(axis=1) == 1)  # one upper cover
-        self.join_table = self._bound_table(leq, meet_irr, "least upper")
-        self.meet_table = self._bound_table(leq.T, join_irr, "greatest lower")
+        self.join_table, _ = self._bound_table(leq, meet_irr, "least upper")
+        self.meet_table, down_keys = self._bound_table(leq.T, join_irr, "greatest lower")
         self.bottom_id = self._extreme(least=True)
         self.top_id = self._extreme(least=False)
 
         self._caches: dict[str, object] = {
             "cover": cover,
             "irreducibles": tuple(int(j) for j in join_irr),
+            "down_keys": down_keys,
         }
 
     # -- construction helpers ------------------------------------------------
 
-    def _bound_table(self, above: np.ndarray, key_ids: np.ndarray, kind: str) -> np.ndarray:
-        """Table of unique least upper bounds w.r.t. the rows of `above`.
+    def _bound_table(self, above: np.ndarray, key_ids: np.ndarray, kind: str):
+        """(table, keys): the unique least upper bounds w.r.t. the rows of
+        `above`, and the _KeyIndex of the keys they were looked up by.
 
         above[x] is the set of elements weakly above x.  In a finite lattice
         every element is the meet of the meet-irreducibles above it
@@ -111,13 +124,12 @@ class FiniteLattice:
         join-irreducibles it yields the glb table.
         """
         n = self.n
-        packed = np.zeros((n, 1), np.uint8)
-        if len(key_ids):
-            packed = np.ascontiguousarray(_pack_rows(above[:, key_ids]))
-        as_key = np.dtype(f"S{packed.shape[1]}")
-        keys = packed.view(as_key)[:, 0]
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
+        bits = above[:, key_ids] if len(key_ids) else np.zeros((n, 1), bool)
+        packed = np.ascontiguousarray(np.packbits(bits, axis=1))
+        packed.flags.writeable = False
+        as_bytes = packed.view(f"S{packed.shape[1]}")[:, 0]
+        order = np.argsort(as_bytes, kind="stable")
+        keys = _KeyIndex(packed, order, as_bytes[order])
         size = above.sum(axis=1)
         weights = above.astype(np.float32)
         ids = np.arange(n)
@@ -125,8 +137,7 @@ class FiniteLattice:
         step = max(1, _BLOCK_PAIRS // n)
         for start in range(0, n, step):
             rows = slice(start, start + step)
-            common = (packed[rows, None, :] & packed[None, :, :]).view(as_key)[..., 0]
-            found = order[np.minimum(np.searchsorted(sorted_keys, common), n - 1)]
+            found = keys.find(packed[rows, None, :] & packed[None, :, :])
             shared = weights[rows] @ weights.T  # |above[a] & above[b]|
             exact = above[ids[rows, None], found] & above[ids[None, :], found]
             if not (exact & (size[found] == shared)).all():
@@ -137,7 +148,7 @@ class FiniteLattice:
                 )
             table[rows] = found
         table.flags.writeable = False
-        return table
+        return table, keys
 
     def _extreme(self, *, least: bool) -> int:
         counts = self.leq.sum(axis=1 if least else 0)
@@ -223,41 +234,28 @@ class FiniteLattice:
         return self._cached("leq_rows", lambda: self.leq.tolist())
 
     @property
-    def down_packed(self) -> np.ndarray:
-        """down_packed[x]: bitset of the elements weakly below x, in uint64 words."""
-
-        def make():
-            packed = _pack_rows(self.leq.T.copy())
-            packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
-            packed.flags.writeable = False
-            return packed
-
-        return self._cached("down_packed", make)
-
-    @property
-    def down_packed_lookup(self) -> dict[bytes, int]:
-        def make():
-            packed = self.down_packed
-            return {packed[i].tobytes(): i for i in range(self.n)}
-
-        return self._cached("down_lookup", make)
+    def down_packed_lookup(self) -> _KeyIndex:
+        """The meet table's keys: each element's down-set on the
+        join-irreducibles, packed into bytes, and their lookup."""
+        return self._caches["down_keys"]
 
     def run_meets(self, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
         """Meet of each run values[starts[k]:starts[k + 1]] of element ids (the
-        last run ends at len(values)): the element whose down-set is the AND
-        of the run's down_packed rows.  Runs must be non-empty, since reduceat
+        last run ends at len(values)).  An irreducible j lies below the meet
+        iff it lies below every member, so the meet's key is the AND of the
+        run's down_packed_lookup rows.  Runs must be non-empty, since reduceat
         gives values[starts[k]] for an empty one.  Whole runs go in blocks of
         about _BLOCK_PAIRS rows, so temporaries stay bounded.
         """
-        down, lookup = self.down_packed, self.down_packed_lookup
+        keys = self.down_packed_lookup
         ends = np.append(starts[1:], len(values))
         out = np.empty(len(starts), dtype=np.int32)
         k = 0
         while k < len(starts):
             stop = max(k + 1, int(np.searchsorted(ends, starts[k] + _BLOCK_PAIRS, "right")))
-            rows = down[values[starts[k] : ends[stop - 1]]]
+            rows = keys.rows[values[starts[k] : ends[stop - 1]]]
             meets = np.bitwise_and.reduceat(rows, starts[k:stop] - starts[k], axis=0)
-            out[k:stop] = [lookup[row.tobytes()] for row in meets]
+            out[k:stop] = keys.find(meets)
             k = stop
         return out
 
@@ -527,9 +525,7 @@ def herbrand_xy_ab() -> FiniteLattice:
     inconsistent top; the order is entailment (set inclusion of closures).
     Not distributive.
     """
-    all_pairs = [
-        (s, t) for s, t in itertools.combinations(sorted(_HERBRAND_TERMS), 2)
-    ]
+    all_pairs = list(itertools.combinations(sorted(_HERBRAND_TERMS), 2))
     closures = set()
     for r in range(len(all_pairs) + 1):
         for chosen in itertools.combinations(all_pairs, r):

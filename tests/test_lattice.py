@@ -355,11 +355,13 @@ def test_bound_tables_match_reference_on_random_orders():
     assert lattices < 120  # most of the orders are not lattices
 
 
-@pytest.mark.parametrize("name", ["M3", "N5", "chain63", "chain64", "chain65", "chain129",
-                                  "powerset6", "powerset7"])
+@pytest.mark.parametrize("name", ["M3", "N5", "chain9", "chain10", "chain17", "chain63",
+                                  "chain64", "chain65", "chain129", "powerset6", "powerset7",
+                                  "powerset9"])
 def test_run_meets_matches_meet_of(lattices, name):
-    # down-sets of 64 or fewer elements fill one word, of 65 or more two or
-    # three; short runs fill more than one block around a run longer than it
+    # keys hold one bit per join-irreducible: up to 8 fill one byte (chain9),
+    # 9 spill into a second (chain10, powerset9) and 16 fill two (chain17);
+    # short runs fill more than one block around a run longer than it
     if name.startswith("chain"):
         lat = ls.chain_lattice(int(name[5:]))
     elif name.startswith("powerset"):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from latspace import pbm
@@ -82,3 +84,41 @@ def test_long_rows_are_wrapped(tmp_path):
     pbm.write_pbm(path, pts)
     assert all(len(line) <= 70 for line in path.read_text().splitlines())
     assert pbm.read_pbm(path) == pts
+
+
+def reference_format_pbm(points, *, canvas=None):
+    """The per-row formatter that format_pbm replaced, kept as its reference."""
+    rows = [-y for _, y in points.points]
+    cols = [x for x, _ in points.points]
+    if canvas is None:
+        canvas = (0, 0, 0, 0)
+    min_col = min([canvas[0], *cols]) if cols else canvas[0]
+    min_row = min([canvas[1], *rows]) if rows else canvas[1]
+    max_col = max([canvas[2], *cols]) if cols else canvas[2]
+    max_row = max([canvas[3], *rows]) if rows else canvas[3]
+    width = max_col - min_col + 1
+    height = max_row - min_row + 1
+    grid = [["0"] * width for _ in range(height)]
+    for x, y in points.points:
+        grid[-y - min_row][x - min_col] = "1"
+    lines = ["P1", f"# origin {-min_col} {-min_row}", f"{width} {height}"]
+    for row in grid:
+        lines.extend(" ".join(row[i : i + 34]) for i in range(0, width, 34))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("width", [1, 33, 34, 35, 68, 69])
+def test_format_matches_reference_across_the_wrap(width):
+    # 34 pixels go to a line, so these widths end a row just before, on and
+    # just after one or two line breaks
+    rng = random.Random(width)
+    for _ in range(20):
+        height = rng.randint(1, 4)
+        oc, orow = rng.randint(-3, 3), rng.randint(-3, 3)
+        density = rng.choice([0.0, 0.3, 1.0])
+        pts = PointSet(2, frozenset(
+            (col - oc, orow - row) for row in range(height) for col in range(width)
+            if rng.random() < density))
+        canvas = (-oc, -orow, width - 1 - oc, height - 1 - orow)
+        for args in ({"canvas": canvas}, {}):
+            assert pbm.format_pbm(pts, **args) == reference_format_pbm(pts, **args)
