@@ -473,6 +473,11 @@ GOLDEN_COMMANDS = [
     # key on them spans two bytes.
     ["delta", "--scs", "{fixtures}/downset63_scs.json", "--group", "1,2,3", "--method", "subtract",
      "--emit", "json"],
+    # N5 is not distributive: the oracle filters its candidates, and the
+    # join-prime fold refuses.
+    ["delta", "--scs", "{fixtures}/n5_scs.json", "--group", "1,2", "--method", "oracle",
+     "--emit", "json"],
+    ["delta", "--scs", "{fixtures}/n5_scs.json", "--group", "1,2", "--method", "tuple"],
 ]
 
 
