@@ -43,7 +43,6 @@ from .spaces import (
     function_leq,
     function_meet_oracle,
     identity_function,
-    iter_space_functions,
     pointwise_join,
     pointwise_meet_raw,
     random_space_function,

@@ -85,15 +85,11 @@ def delta_pair(lattice: FiniteLattice, f: SpaceFunction, g: SpaceFunction) -> Sp
     """Meet of two space functions in the function lattice (distributive case).
 
     Every join-irreducible j is join-prime, so the meet is the extension by
-    joins of j -> f(j) meet g(j): starting from all bottom, one masked join
-    per irreducible over the elements above it.
+    joins of j -> f(j) meet g(j).
     """
     _require_distributive(lattice)
-    jt, mt, leq = lattice.join_table, lattice.meet_table, lattice.leq
-    fi, gi = f.images, g.images
-    images = np.full(lattice.n, lattice.bottom_id, dtype=np.int32)
-    for j in lattice.irreducibles:
-        images = np.where(leq[j], jt[images, mt[fi[j], gi[j]]], images)
+    mt = lattice.meet_table
+    images = lattice.extend([mt[f.images[j], g.images[j]] for j in lattice.irreducibles])
     return SpaceFunction(lattice, tuple(images.tolist()))
 
 

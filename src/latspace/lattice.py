@@ -239,6 +239,21 @@ class FiniteLattice:
         join-irreducibles, packed into bytes, and their lookup."""
         return self._caches["down_keys"]
 
+    def extend(self, values) -> np.ndarray:
+        """Extension by joins of images given on the join-irreducibles:
+        images[x, ...] = join of values[k, ...] over the k with
+        irreducibles[k] below x.  `values` has one row per irreducible and
+        an optional batch axis after it; the empty join puts bottom at
+        bottom.  A space function is the extension of its own images on J,
+        since every element is the join of the irreducibles below it.
+        """
+        values = np.asarray(values, dtype=np.int32)
+        images = np.full((self.n, *values.shape[1:]), self.bottom_id, dtype=np.int32)
+        ups = self.leq.reshape(self.n, self.n, *[1] * (values.ndim - 1))  # batch axes last
+        for j, value in zip(self.irreducibles, values):
+            images = np.where(ups[j], self.join_table[images, value], images)
+        return images
+
     def run_meets(self, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
         """Meet of each run values[starts[k]:starts[k + 1]] of element ids (the
         last run ends at len(values)).  An irreducible j lies below the meet
@@ -317,6 +332,7 @@ class FiniteLattice:
             if not self.is_distributive:
                 raise NotDistributive("the subtraction table needs a distributive lattice")
             jt, leq = self.join_table, self.leq
+            # Its own loop: through extend this step measured 20-50% slower.
             table = np.full((self.n, self.n), self.bottom_id, dtype=np.int32)
             for j in self.irreducibles:
                 sel = leq[j][:, None] & ~leq[j][None, :]  # j below d, not below c

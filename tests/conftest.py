@@ -103,6 +103,48 @@ def bound_table_reference(labels, above, kind):
     return table
 
 
+def backtracking_space_functions(lattice, below=None) -> list[tuple[int, ...]]:
+    """Reference for enumerate_space_functions, in its order: assign images
+    to the join-irreducibles in topological order (by how many irreducibles
+    lie below, ties by id), each ascending from the join of the images below
+    it and under the meet of the bounds' images there; extend every full
+    assignment by joins, element by element, and keep the extensions that
+    preserve every binary join."""
+    irr = lattice.irreducibles
+    leq, join, meet = lattice.leq_rows, lattice.join_rows, lattice.meet_rows
+    order = sorted(irr, key=lambda j: sum(leq[i][j] for i in irr))
+    preds = [[i for i in order if i != j and leq[i][j]] for j in order]
+    irr_below = [[j for j in irr if leq[j][x]] for x in range(lattice.n)]
+    bounds = [lattice.top_id] * len(order)
+    for f in below or ():
+        bounds = [meet[b][f.images[j]] for b, j in zip(bounds, order)]
+    assign = {}
+    out = []
+
+    def backtrack(i):
+        if i == len(order):
+            images = []
+            for x in range(lattice.n):
+                acc = lattice.bottom_id
+                for j in irr_below[x]:
+                    acc = join[acc][assign[j]]
+                images.append(acc)
+            img = np.array(images)
+            if (img[lattice.join_table] == lattice.join_table[np.ix_(img, img)]).all():
+                out.append(tuple(images))
+            return
+        floor = lattice.bottom_id
+        for p in preds[i]:
+            floor = join[floor][assign[p]]
+        for v in range(lattice.n):
+            if leq[floor][v] and leq[v][bounds[i]]:
+                assign[order[i]] = v
+                backtrack(i + 1)
+
+    backtrack(0)
+    return out
+
+
 # Non-distributive shapes stacked above a powerset's top: (new labels, covers
 # among them); None stands for the powerset's top.
 STACKS = {

@@ -377,6 +377,28 @@ def test_run_meets_matches_meet_of(lattices, name):
     assert lat.run_meets(values, starts).tolist() == expected
 
 
+@pytest.mark.parametrize("name", ["chain1", "chain2", "M3", "N5", "herbrand-xy-ab", "powerset3"])
+def test_extend_is_the_join_over_irreducibles_below(lattices, name):
+    # chain1 has no irreducibles and chain2 one
+    if name.startswith("chain"):
+        lat = ls.chain_lattice(int(name[5:]))
+    elif name == "powerset3":
+        lat = ls.powerset_lattice(["a", "b", "c"])
+    else:
+        lat = lattices[name]
+    irr = lat.irreducibles
+    values = np.random.default_rng(len(name)).integers(0, lat.n, size=(len(irr), 7))
+
+    def literal(column):
+        return [lat.join_of([v for v, j in zip(column, irr) if lat.leq[j, x]])
+                for x in range(lat.n)]
+
+    batch = lat.extend(values)
+    assert batch.shape == (lat.n, 7)
+    assert batch.T.tolist() == [literal(column) for column in values.T]
+    assert lat.extend(values[:, 0]).tolist() == literal(values[:, 0])
+
+
 # -- subtraction ----------------------------------------------------------------
 
 

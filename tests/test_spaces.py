@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latspace as ls
-from latspace import selfcheck
+from latspace import selfcheck, spaces
 from latspace.errors import (
     FormatError,
     InvalidElement,
@@ -16,8 +16,14 @@ from latspace.errors import (
     NotASpaceFunction,
     TooLarge,
 )
-from latspace.spaces import DEFAULT_MAX_ENUM, enumeration_size_estimate
-from conftest import STACKS, brute_force_space_functions, pair_scan_violation, stacked_lattice
+from latspace.spaces import DEFAULT_MAX_ENUM, enum_budget, enumeration_size_estimate
+from conftest import (
+    STACKS,
+    backtracking_space_functions,
+    brute_force_space_functions,
+    pair_scan_violation,
+    stacked_lattice,
+)
 
 
 def test_identity_validates(m2):
@@ -202,6 +208,54 @@ def test_enumeration_is_deterministic(m3):
     first = [f.images for f in ls.enumerate_space_functions(m3)]
     second = [f.images for f in ls.enumerate_space_functions(m3)]
     assert first == second
+
+
+ORDER_CASES = [
+    *ls.fixtures(),
+    *[f"downsets/{seed}" for seed in range(6)],
+    *[f"chain/{k}" for k in (1, 2, 5, 9)],
+    *[f"{shape}/{k}" for shape in STACKS for k in range(3)],
+]
+
+
+def order_case(name):
+    kind, split, arg = name.partition("/")
+    if not split:
+        return ls.fixtures()[name]
+    if kind == "downsets":
+        return ls.random_distributive_lattice(random.Random(int(arg)), points=4)
+    if kind == "chain":
+        return ls.chain_lattice(int(arg))
+    return stacked_lattice(int(arg), kind)
+
+
+@pytest.mark.parametrize("name", ORDER_CASES)
+def test_enumeration_order_matches_backtracking_reference(name):
+    lat = order_case(name)
+    rng = random.Random(name)
+    draws = [ls.random_space_function(lat, rng) for _ in range(2)]
+    while enumeration_size_estimate(lat, draws) > enum_budget():  # the 9-element chain
+        draws.append(ls.random_space_function(lat, rng))
+    for below in (None, draws):
+        if enumeration_size_estimate(lat, below) > enum_budget():
+            with pytest.raises(TooLarge):
+                ls.enumerate_space_functions(lat, below)
+            continue
+        reference = backtracking_space_functions(lat, below)
+        assert [f.images for f in ls.enumerate_space_functions(lat, below)] == reference
+        joined = tuple(lat.join_of(column) for column in zip(*reference))
+        assert ls.function_meet_oracle(lat, below or []).images == joined
+
+
+def test_enumeration_order_across_blocks(monkeypatch):
+    lat = stacked_lattice(2, "N5")
+    monkeypatch.setattr(spaces, "_BLOCK_CELLS", 7 * lat.n)  # 7 candidates per block
+    estimate = enumeration_size_estimate(lat)
+    assert estimate > 7 and estimate % 7  # several blocks, the last one partial
+    reference = backtracking_space_functions(lat)
+    assert [f.images for f in ls.enumerate_space_functions(lat)] == reference
+    joined = tuple(lat.join_of(column) for column in zip(*reference))
+    assert ls.function_meet_oracle(lat, []).images == joined
 
 
 def test_enumeration_cap(monkeypatch):
