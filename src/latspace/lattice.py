@@ -22,7 +22,8 @@ import numpy as np
 from .errors import InvalidElement, NotALattice, NotAntisymmetric, NotDistributive, TooLarge
 
 # Largest lattice built.  Construction is super-quadratic: a powerset
-# builds in about 0.24 s at 1024 elements and 1.5 s at 2048 (see README).
+# builds in about 0.2 s at 1024 elements and 1.6-2.0 s at 2048 (see README).
+# The bound tables' float32 sums stay exact while n * 2**n.bit_length() < 2**24.
 MAX_ELEMENTS = 1024
 
 # Pairs per row block of a bound-table build; it bounds the temporaries.
@@ -77,7 +78,8 @@ class FiniteLattice:
         # float32 products run on BLAS and are exact while n < 2**24.
         # interval[a, b] counts the z with a <= z <= b, so on a transitive
         # relation it is positive exactly where leq holds.
-        interval = leq.astype(np.float32) @ leq.astype(np.float32)
+        above32 = leq.astype(np.float32)
+        interval = above32 @ above32
         gaps = (interval > 0) & ~leq
         if gaps.any():
             a, b = map(int, np.argwhere(gaps)[0])
@@ -95,51 +97,54 @@ class FiniteLattice:
         cover = interval == 2  # b covers a iff the interval [a, b] is {a, b}
         cover.flags.writeable = False
         join_irr = np.flatnonzero(cover.sum(axis=0) == 1)  # one lower cover
-        meet_irr = np.flatnonzero(cover.sum(axis=1) == 1)  # one upper cover
-        self.join_table, _ = self._bound_table(leq, meet_irr, "least upper")
-        self.meet_table, down_keys = self._bound_table(leq.T, join_irr, "greatest lower")
+        below32 = np.ascontiguousarray(above32.T)  # rows are down-sets
+        levels = _levels(below32)
+        self.join_table = self._bound_table(leq, above32, levels, "least upper")
+        self.meet_table = self._bound_table(leq.T, below32, levels[::-1], "greatest lower")
         self.bottom_id = self._extreme(least=True)
         self.top_id = self._extreme(least=False)
 
         self._caches: dict[str, object] = {
             "cover": cover,
             "irreducibles": tuple(int(j) for j in join_irr),
-            "down_keys": down_keys,
         }
 
     # -- construction helpers ------------------------------------------------
 
-    def _bound_table(self, above: np.ndarray, key_ids: np.ndarray, kind: str):
-        """(table, keys): the unique least upper bounds w.r.t. the rows of
-        `above`, and the _KeyIndex of the keys they were looked up by.
+    def _bound_table(self, above: np.ndarray, above32: np.ndarray, levels, kind: str):
+        """The unique least upper bounds w.r.t. the rows of `above`.
 
-        above[x] is the set of elements weakly above x.  In a finite lattice
-        every element is the meet of the meet-irreducibles above it
-        (Birkhoff), so above[x] restricted to them, `key_ids`, is a key that
-        identifies x, and the lub of {a, b} carries the key key(a) & key(b).
-        Each candidate found by that key is checked exactly: it is the lub
-        iff it lies above a and b and its above-set is as large as
-        above[a] & above[b].  Rows are processed in blocks, so temporaries
-        stay O(block * n).  Called with the transposed relation and the
-        join-irreducibles it yields the glb table.
+        above[x] is the set of elements weakly above x, and `above32` is the
+        same relation as float32.  Weights w with sum(w[z] for z above x)
+        = x modulo 2**k, where 2**k > n, come from Möbius inversion of the
+        ids, one level at a time (`levels` runs from the maximal elements
+        down, see _levels).  In a lattice the common upper bounds of a and b
+        are exactly the elements above a join b, so (above * w) @ above.T is
+        the table modulo 2**k.  The sum has at most n terms below 2**k and
+        n * 2**k < 2**24, so float32 holds it exactly.  Each candidate is
+        then checked exactly: it is the lub iff it lies above a and b and its
+        above-set is as large as above[a] & above[b].  Rows are processed in
+        blocks, so temporaries stay O(block * n).  Called with the transposed
+        relation and the levels reversed it yields the glb table.
         """
         n = self.n
-        bits = above[:, key_ids] if len(key_ids) else np.zeros((n, 1), bool)
-        packed = np.ascontiguousarray(np.packbits(bits, axis=1))
-        packed.flags.writeable = False
-        as_bytes = packed.view(f"S{packed.shape[1]}")[:, 0]
-        order = np.argsort(as_bytes, kind="stable")
-        keys = _KeyIndex(packed, order, as_bytes[order])
+        mask = (1 << n.bit_length()) - 1
+        w = np.zeros(n, dtype=np.float32)
+        for level in levels:  # w[x] = x - (sum of w strictly above x)
+            w[level] = (level - (above32[level] @ w).astype(np.int64)) & mask
         size = above.sum(axis=1)
-        weights = above.astype(np.float32)
-        ids = np.arange(n)
+        flat, offsets = above.ravel(), np.arange(0, n * n, n)  # above[a, z] is flat[a*n + z]
         table = np.empty((n, n), dtype=np.int32)
         step = max(1, _BLOCK_PAIRS // n)
         for start in range(0, n, step):
             rows = slice(start, start + step)
-            found = keys.find(packed[rows, None, :] & packed[None, :, :])
-            shared = weights[rows] @ weights.T  # |above[a] & above[b]|
-            exact = above[ids[rows, None], found] & above[ids[None, :], found]
+            block = above32[rows]
+            # one product: |above[a] & above[b]| over the weighted sums
+            both = np.concatenate([block, block * w]) @ above32.T
+            shared, sums = both[: len(block)], both[len(block) :]
+            # off a lattice a sum can name no element: clamp it for the checks
+            found = np.minimum(sums.astype(np.int32) & mask, n - 1)
+            exact = flat.take(found + offsets[rows, None]) & flat.take(found + offsets)
             if not (exact & (size[found] == shared)).all():
                 a, b = _first_unbounded(above, size, start)
                 raise NotALattice(
@@ -148,7 +153,7 @@ class FiniteLattice:
                 )
             table[rows] = found
         table.flags.writeable = False
-        return table, keys
+        return table
 
     def _extreme(self, *, least: bool) -> int:
         counts = self.leq.sum(axis=1 if least else 0)
@@ -235,9 +240,20 @@ class FiniteLattice:
 
     @property
     def down_packed_lookup(self) -> _KeyIndex:
-        """The meet table's keys: each element's down-set on the
-        join-irreducibles, packed into bytes, and their lookup."""
-        return self._caches["down_keys"]
+        """Each element's down-set on the join-irreducibles, packed into
+        bytes, and their lookup; built on first use.  Every element is the
+        join of the irreducibles below it (Birkhoff), so the keys differ."""
+
+        def make():
+            irr = list(self.irreducibles)
+            bits = self.leq.T[:, irr] if irr else np.zeros((self.n, 1), dtype=bool)
+            packed = np.ascontiguousarray(np.packbits(bits, axis=1))
+            packed.flags.writeable = False
+            as_bytes = packed.view(f"S{packed.shape[1]}")[:, 0]
+            order = np.argsort(as_bytes, kind="stable")
+            return _KeyIndex(packed, order, as_bytes[order])
+
+        return self._cached("down_keys", make)
 
     def extend(self, values) -> np.ndarray:
         """Extension by joins of images given on the join-irreducibles:
@@ -280,27 +296,36 @@ class FiniteLattice:
         """Distributivity test; returns (flag, witness or None).
 
         A finite lattice is distributive iff every join-irreducible j is
-        join-prime: j below a join b implies j below a or j below b.  Each
-        j costs one vectorised n x n step.  When j is below a join b but
-        below neither, one of the triples (b, j, a) and (j meet a, j, b)
-        is a witness (x, y, z) with x join (y meet z) != (x join y) meet
-        (x join z).  Cached after the first call.
+        join-prime: j below a join b implies j below a or j below b.  One
+        |J| x n x n product tests every j.  For the first j that is not
+        join-prime, one n x n scan finds the first pair a, b whose join is
+        above j while neither is; one of the triples (b, j, a) and
+        (j meet a, j, b) is then a witness (x, y, z) with x join (y meet z)
+        != (x join y) meet (x join z).  Cached after the first call.
         """
 
         def make():
             jt, mt, leq = self.join_table, self.meet_table, self.leq
-            for j in self.irreducibles:
-                up = leq[j]
-                broken = up[jt] & ~up[:, None] & ~up[None, :]
-                if broken.any():
-                    a, b = map(int, np.argwhere(broken)[0])
-                    if jt[b, mt[j, a]] != jt[b, j]:
-                        return False, (b, j, a)
-                    # Now b join (j meet a) = b join j lies above j, so the
-                    # right side is j; the left side joins two elements
-                    # strictly below the irreducible j, so it is not j.
-                    return False, (int(mt[j, a]), j, b)
-            return True, None
+            irr = np.array(self.irreducibles, dtype=np.intp)
+            # j is join-prime iff {x : j not below x} has an upper bound not
+            # above j, i.e. one u outside with the whole set below it.
+            # inside[k, u] counts the members below u; float32 is exact here.
+            outside = ~leq[irr]
+            inside = outside.astype(np.float32) @ leq.astype(np.float32)
+            bounded = inside == outside.sum(axis=1)[:, None]
+            prime = (bounded & outside).any(axis=1)
+            if prime.all():
+                return True, None
+            j = int(irr[np.argmin(prime)])
+            up = leq[j]
+            broken = up[jt] & ~up[:, None] & ~up[None, :]
+            a, b = map(int, np.argwhere(broken)[0])
+            if jt[b, mt[j, a]] != jt[b, j]:
+                return False, (b, j, a)
+            # Now b join (j meet a) = b join j lies above j, so the right side
+            # is j; the left side joins two elements strictly below the
+            # irreducible j, so it is not j.
+            return False, (int(mt[j, a]), j, b)
 
         return self._cached("distributivity", make)
 
@@ -373,7 +398,9 @@ class FiniteLattice:
         if not _is_str_list(labels):
             raise InvalidElement('"elements" must be a list of strings')
         if not isinstance(covers, list) or not all(
-            _is_str_list(pair) and len(pair) == 2 for pair in covers
+            isinstance(pair, list) and len(pair) == 2
+            and isinstance(pair[0], str) and isinstance(pair[1], str)
+            for pair in covers
         ):
             raise InvalidElement('"covers" must be a list of two-string lists')
         return build_lattice(labels, covers)
@@ -388,9 +415,11 @@ def _first_unbounded(above: np.ndarray, size: np.ndarray, start: int) -> tuple[i
     """First pair (a, b), a <= b, in row-major order from row `start`, with
     no element whose above-set is above[a] & above[b].
 
-    A failed key check always has such a pair: where every pair has a lub,
-    the keys are distinct and each lub carries the key it is looked up by.
-    Rows before `start` passed, so the pair is the first of the whole scan.
+    A failed bound check always has such a pair: where every pair has a lub,
+    the common upper bounds of a and b are exactly the elements above their
+    lub, so the weighted sum over them is the lub's id, which passes both
+    checks.  Rows before `start` passed, so the pair is the first of the
+    whole scan.
     """
     for a in range(start, len(above)):
         common = above[a] & above[a:]
@@ -398,6 +427,23 @@ def _first_unbounded(above: np.ndarray, size: np.ndarray, start: int) -> tuple[i
         if not exact.all():
             return a, a + int(np.argmin(exact))
     raise AssertionError("a failed bound check has no unbounded pair")
+
+
+def _levels(below: np.ndarray) -> list[np.ndarray]:
+    """The ids by levels from the top (Kahn's order), given the order with
+    below[x] the down-set of x: level 0 holds the maximal elements, and each
+    later level the elements whose strict upper bounds all lie in earlier
+    levels.  Reversed, the levels run from the minimal elements up.  O(n^2)
+    in all, one numpy step per level."""
+    above = below.sum(axis=0) - 1  # strict upper bounds not yet in a level
+    levels = []
+    level = (above == 0).nonzero()[0]
+    while len(level):
+        levels.append(level)
+        # a level is an antichain, so its members drop to -1 and stay out
+        above -= below[level].sum(axis=0)
+        level = (above == 0).nonzero()[0]
+    return levels
 
 
 def _is_str_list(value) -> bool:

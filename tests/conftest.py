@@ -103,6 +103,23 @@ def bound_table_reference(labels, above, kind):
     return table
 
 
+def distributivity_reference(lattice):
+    """Reference for FiniteLattice.distributivity: for each join-irreducible
+    j in id order, one n x n scan for the pairs whose join lies above j while
+    neither member does; the first such pair of the first such j gives the
+    witness, (b, j, a) or (j meet a, j, b)."""
+    jt, mt, leq = lattice.join_table, lattice.meet_table, lattice.leq
+    for j in lattice.irreducibles:
+        up = leq[j]
+        broken = up[jt] & ~up[:, None] & ~up[None, :]
+        if broken.any():
+            a, b = map(int, np.argwhere(broken)[0])
+            if jt[b, mt[j, a]] != jt[b, j]:
+                return False, (b, j, a)
+            return False, (int(mt[j, a]), j, b)
+    return True, None
+
+
 def backtracking_space_functions(lattice, below=None) -> list[tuple[int, ...]]:
     """Reference for enumerate_space_functions, in its order: assign images
     to the join-irreducibles in topological order (by how many irreducibles

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import latspace as ls
 from latspace import selfcheck
 from latspace.lattice import _BLOCK_PAIRS as BLOCK_PAIRS
+from latspace.lattice import MAX_ELEMENTS
 from latspace.errors import (
     InvalidElement,
     NotALattice,
@@ -18,7 +19,7 @@ from latspace.errors import (
     TooLarge,
 )
 
-from conftest import STACKS, bound_table_reference, stacked_lattice
+from conftest import STACKS, bound_table_reference, distributivity_reference, stacked_lattice
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +53,7 @@ def one_lower_cover(lat):
 
 def assert_derived_structures_agree(lat):
     selfcheck.distributivity_verdicts({"lattice": (lat, triple_scan_is_distributive(lat))})
+    assert lat.distributivity() == distributivity_reference(lat)
     assert lat.irreducibles == one_lower_cover(lat)
     assert_subtract_table_matches_pointwise(lat)
 
@@ -95,8 +97,9 @@ def test_bowtie_is_not_a_lattice():
 
 
 def test_shared_keys_do_not_hide_a_missing_bound():
-    # a and b share their up-set on the meet-irreducibles {t, u, p, q}, and t
-    # and u their down-set on the join-irreducibles {a, b, p, q}
+    # a and b have two minimal upper bounds, t and u; the weighted sum over
+    # their common upper bounds lies past the last id and is clamped to 1, an
+    # upper bound that only the size check refuses
     labels = ["t", "0", "a", "b", "u", "v", "p", "q", "1"]
     covers = [("0", "a"), ("0", "b"), ("a", "t"), ("b", "t"), ("a", "u"), ("b", "u"),
               ("t", "v"), ("u", "v"), ("v", "p"), ("v", "q"), ("p", "1"), ("q", "1")]
@@ -325,9 +328,9 @@ def test_bound_tables_match_reference_across_row_blocks():
 
 
 def test_bound_table_key_candidate_must_be_least():
-    # key(x) & key(y) is the key of c, a common upper bound of x and y that
-    # is not least (d is another), so only the size check refuses c; row x
-    # lies in the first row block and c, d in the second
+    # the weighted sum over the common upper bounds of x and y names d, an
+    # upper bound that is not least (c is another), so only the size check
+    # refuses d; row x lies in the first row block and c, d in the second
     chain = [f"w{i}" for i in range(130)]
     labels = ["x", "y", "bot", "mx", "my", *chain, "c", "d", "e", "e2", "m", "1"]
     covers = [("bot", "x"), ("bot", "y"), ("x", "c"), ("y", "c"), ("x", "d"), ("y", "d"),
@@ -353,6 +356,39 @@ def test_bound_tables_match_reference_on_random_orders():
         lattices += assert_bound_tables_match_reference([f"x{i}" for i in range(n)],
                                                         random_order(rng, n))
     assert lattices < 120  # most of the orders are not lattices
+
+
+def test_bound_tables_at_the_cap():
+    # the powerset's ids are bitmasks; the chain has the most levels (1024)
+    # and, with the powerset, the largest modulus (2048)
+    ps = ls.powerset_lattice([f"g{i}" for i in range(MAX_ELEMENTS.bit_length() - 1)])
+    chain = ls.chain_lattice(MAX_ELEMENTS)
+    ids = np.arange(MAX_ELEMENTS)
+    assert ps.n == chain.n == MAX_ELEMENTS
+    assert np.array_equal(ps.join_table, ids[:, None] | ids)
+    assert np.array_equal(ps.meet_table, ids[:, None] & ids)
+    assert np.array_equal(chain.join_table, np.maximum(ids[:, None], ids))
+    assert np.array_equal(chain.meet_table, np.minimum(ids[:, None], ids))
+
+
+def test_bound_table_sums_are_exact_in_float32_up_to_the_cap():
+    # at most n weights below the modulus 2**n.bit_length() are summed
+    assert MAX_ELEMENTS * (1 << MAX_ELEMENTS.bit_length()) < 2**24
+
+
+def test_distributivity_matches_reference_on_random_orders():
+    # verdict and witness on lattices beyond the downset and stacked shapes
+    rng = random.Random(7)
+    verdicts = []
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        try:
+            lat = ls.FiniteLattice([f"x{i}" for i in range(n)], random_order(rng, n))
+        except NotALattice:
+            continue
+        assert lat.distributivity() == distributivity_reference(lat)
+        verdicts.append(lat.is_distributive)
+    assert verdicts.count(False) >= 20 and verdicts.count(True) >= 20
 
 
 @pytest.mark.parametrize("name", ["M3", "N5", "chain9", "chain10", "chain17", "chain63",
