@@ -185,7 +185,7 @@ def _json_object(value, what: str) -> dict:
 
 @dataclass
 class KripkeModel:
-    """States, valuation and per-agent accessibility relations."""
+    """States, valuation and per-agent relations; each names only declared states and props."""
 
     states: tuple[str, ...]
     props: tuple[str, ...]
@@ -203,6 +203,12 @@ class KripkeModel:
                         f"relation of agent {agent!r} references unknown state "
                         f"({s!r}, {t!r})"
                     )
+        for s, row in self.valuation.items():
+            if s not in states:
+                raise InvalidElement(f"valuation references unknown state {s!r}")
+            for p in row:
+                if p not in self.props:
+                    raise InvalidElement(f"valuation of state {s!r} references unknown prop {p!r}")
         valuation = {s: dict(row) for s, row in self.valuation.items()}
         for s in self.states:
             row = valuation.setdefault(s, {})

@@ -101,8 +101,9 @@ class FiniteLattice:
         levels = _levels(below32)
         self.join_table = self._bound_table(leq, above32, levels, "least upper")
         self.meet_table = self._bound_table(leq.T, below32, levels[::-1], "greatest lower")
-        self.bottom_id = self._extreme(least=True)
-        self.top_id = self._extreme(least=False)
+        # with all bounds, the finite order has a least and a greatest element
+        self.bottom_id = int(np.argmax(leq.sum(axis=1)))
+        self.top_id = int(np.argmax(leq.sum(axis=0)))
 
         self._caches: dict[str, object] = {
             "cover": cover,
@@ -123,9 +124,13 @@ class FiniteLattice:
         the table modulo 2**k.  The sum has at most n terms below 2**k and
         n * 2**k < 2**24, so float32 holds it exactly.  Each candidate is
         then checked exactly: it is the lub iff it lies above a and b and its
-        above-set is as large as above[a] & above[b].  Rows are processed in
-        blocks, so temporaries stay O(block * n).  Called with the transposed
-        relation and the levels reversed it yields the glb table.
+        above-set is as large as above[a] & above[b].  A pair fails the check
+        iff it has no lub, since where the lub exists the sum names it, so
+        the first failing pair in row-major order is the one reported; its
+        b is at least a, as failure is symmetric and earlier rows passed.
+        Rows are processed in blocks, so temporaries stay O(block * n).
+        Called with the transposed relation and the levels reversed it
+        yields the glb table.
         """
         n = self.n
         mask = (1 << n.bit_length()) - 1
@@ -145,23 +150,16 @@ class FiniteLattice:
             # off a lattice a sum can name no element: clamp it for the checks
             found = np.minimum(sums.astype(np.int32) & mask, n - 1)
             exact = flat.take(found + offsets[rows, None]) & flat.take(found + offsets)
-            if not (exact & (size[found] == shared)).all():
-                a, b = _first_unbounded(above, size, start)
+            failed = ~(exact & (size[found] == shared))
+            if failed.any():
+                a, b = np.argwhere(failed)[0]
                 raise NotALattice(
-                    f"pair ({self.labels[a]!r}, {self.labels[b]!r}) has no "
+                    f"pair ({self.labels[start + a]!r}, {self.labels[b]!r}) has no "
                     f"unique {kind} bound"
                 )
             table[rows] = found
         table.flags.writeable = False
         return table
-
-    def _extreme(self, *, least: bool) -> int:
-        counts = self.leq.sum(axis=1 if least else 0)
-        ids = np.nonzero(counts == self.n)[0]
-        if len(ids) != 1:
-            which = "bottom" if least else "top"
-            raise NotALattice(f"expected a unique {which} element, found {len(ids)}")
-        return int(ids[0])
 
     # -- basic queries -------------------------------------------------------
 
@@ -411,24 +409,6 @@ class FiniteLattice:
             return cls.from_json(json.load(fh))
 
 
-def _first_unbounded(above: np.ndarray, size: np.ndarray, start: int) -> tuple[int, int]:
-    """First pair (a, b), a <= b, in row-major order from row `start`, with
-    no element whose above-set is above[a] & above[b].
-
-    A failed bound check always has such a pair: where every pair has a lub,
-    the common upper bounds of a and b are exactly the elements above their
-    lub, so the weighted sum over them is the lub's id, which passes both
-    checks.  Rows before `start` passed, so the pair is the first of the
-    whole scan.
-    """
-    for a in range(start, len(above)):
-        common = above[a] & above[a:]
-        exact = (common & (size == common.sum(axis=1)[:, None])).any(axis=1)
-        if not exact.all():
-            return a, a + int(np.argmin(exact))
-    raise AssertionError("a failed bound check has no unbounded pair")
-
-
 def _levels(below: np.ndarray) -> list[np.ndarray]:
     """The ids by levels from the top (Kahn's order), given the order with
     below[x] the down-set of x: level 0 holds the maximal elements, and each
@@ -546,76 +526,27 @@ def downset_lattice(poset_leq: np.ndarray) -> FiniteLattice:
     return FiniteLattice(labels, leq)
 
 
-_HERBRAND_TERMS = ("x", "y", "a", "b")
-_HERBRAND_CONSTANTS = {"a", "b"}
-
-
-def _herbrand_close(pairs: frozenset) -> frozenset | None:
-    """Deductive closure of a set of term equalities; None if inconsistent.
-
-    Closure classes are computed by merging; two distinct constants in one
-    class is a contradiction.
-    """
-    parent = {t: t for t in _HERBRAND_TERMS}
-
-    def find(t):
-        while parent[t] != t:
-            parent[t] = parent[parent[t]]
-            t = parent[t]
-        return t
-
-    for s, t in pairs:
-        parent[find(s)] = find(t)
-    classes: dict[str, set[str]] = {}
-    for t in _HERBRAND_TERMS:
-        classes.setdefault(find(t), set()).add(t)
-    for members in classes.values():
-        if len(members & _HERBRAND_CONSTANTS) > 1:
-            return None
-    order = _HERBRAND_TERMS.index
-    closed = set()
-    for members in classes.values():
-        for s, t in itertools.combinations(sorted(members, key=order), 2):
-            closed.add((s, t))
-    return frozenset(closed)
-
-
 def herbrand_xy_ab() -> FiniteLattice:
     """Syntactic-equality lattice over variables x, y and constants a, b.
 
-    Elements are deductively closed consistent equality sets plus a single
-    inconsistent top; the order is entailment (set inclusion of closures).
-    Not distributive.
+    The deductively closed consistent equality sets are the partitions of
+    {x, y, a, b} that keep a and b apart, each given by the pairs of terms
+    it puts in one block; a single inconsistent top follows.  Ids order
+    them by size and then by the pairs' term indices; the order is
+    entailment (inclusion of the pair sets).  Not distributive.
     """
-    all_pairs = list(itertools.combinations(sorted(_HERBRAND_TERMS), 2))
-    closures = set()
-    for r in range(len(all_pairs) + 1):
-        for chosen in itertools.combinations(all_pairs, r):
-            closures.add(_herbrand_close(frozenset(chosen)))
-    order = _HERBRAND_TERMS.index
-
-    def pair_key(pair):
-        return (order(pair[0]), order(pair[1]))
-
-    consistent = sorted(
-        (c for c in closures if c is not None),
-        key=lambda c: (len(c), sorted(pair_key(p) for p in c)),
-    )
-
-    def label(pairs):
-        if not pairs:
-            return "true"
-        return ",".join(f"{s}={t}" for s, t in sorted(pairs, key=pair_key))
-
-    labels = [label(c) for c in consistent] + ["false"]
-    n = len(labels)
-    leq = np.zeros((n, n), dtype=bool)
-    for i, ci in enumerate(consistent):
-        for j, cj in enumerate(consistent):
-            leq[i, j] = ci <= cj
-        leq[i, n - 1] = True
-    leq[n - 1, n - 1] = True
-    return FiniteLattice(labels, leq)
+    terms = "xyab"
+    pairs = list(itertools.combinations(range(4), 2))
+    closures = {frozenset((s, t) for s, t in pairs if block[s] == block[t])
+                for block in itertools.product(range(4), repeat=4)}
+    consistent = sorted((c for c in closures if (2, 3) not in c), key=lambda c: (len(c), sorted(c)))
+    labels = [",".join(f"{terms[s]}={terms[t]}" for s, t in sorted(c)) or "true"
+              for c in consistent]
+    n = len(consistent)
+    leq = np.ones((n + 1, n + 1), dtype=bool)  # "false", last, lies above every element
+    leq[:n, :n] = [[ci <= cj for cj in consistent] for ci in consistent]
+    leq[n, :n] = False
+    return FiniteLattice([*labels, "false"], leq)
 
 
 def random_distributive_lattice(rng, *, points: int = 4) -> FiniteLattice:

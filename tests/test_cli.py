@@ -364,7 +364,9 @@ def test_lattice_check_over_the_element_cap_fails_fast(tmp_path):
     '{"states": ["s"], "val": []}',
     '{"states": ["s"], "rel": []}',
     '{"states": ["s"], "props": ["p"], "val": {"s": [1]}}',
-], ids=["pairs", "val-array", "rel-array", "row-array"])
+    '{"states": ["s"], "props": ["p"], "val": {"u": {"p": 1}}, "rel": {"1": [["s", "s"]]}}',
+    '{"states": ["s"], "props": ["p"], "val": {"s": {"q": 1}}, "rel": {"1": [["s", "s"]]}}',
+], ids=["pairs", "val-array", "rel-array", "row-array", "val-state", "val-prop"])
 def test_kripke_relation_pairs_given_as_strings(doc, tmp_path):
     path = tmp_path / "model.json"
     path.write_text(doc)

@@ -324,6 +324,17 @@ def test_bound_tables_match_reference_across_row_blocks():
     for m in range(len(labels)):
         leq |= leq[:, m : m + 1] & leq[m : m + 1, :]
     assert_bound_tables_match_reference(labels, leq)
+    # only meets fail below a chain over the nonempty subsets of eight
+    # generators: 385 elements give blocks of 42 rows, and row 131 is the
+    # first with a disjoint pair
+    masks = np.arange(255, 0, -1)
+    leq = np.block([[np.triu(np.ones((130, 130), dtype=bool)), np.zeros((130, 255), dtype=bool)],
+                    [np.ones((255, 130), dtype=bool), (masks[:, None] & ~masks[None, :]) == 0]])
+    labels = [*(f"c{i}" for i in range(130)), *(f"s{m}" for m in masks)]
+    assert not assert_bound_tables_match_reference(labels, leq)
+    with pytest.raises(NotALattice) as err:
+        ls.FiniteLattice(labels, leq)
+    assert str(err.value) == "pair ('s254', 's1') has no unique greatest lower bound"
 
 
 
@@ -507,6 +518,9 @@ def test_herbrand_fixture_matches_oracle(canonical):
         return frozenset(frozenset(eq.split("=")) for eq in label.split(","))
 
     assert {closure_of_label(lab) for lab in herb.labels} == closures
+    # selfcheck output and the distributivity witness depend on the id order
+    assert herb.labels == ('true', 'x=y', 'x=a', 'x=b', 'y=a', 'y=b', 'x=a,y=b', 'x=b,y=a',
+                           'x=y,x=a,y=a', 'x=y,x=b,y=b', 'false')
     # entailment order: label closure containment
     for i, li in enumerate(herb.labels):
         for j, lj in enumerate(herb.labels):
