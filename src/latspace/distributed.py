@@ -90,7 +90,7 @@ def delta_pair(lattice: FiniteLattice, f: SpaceFunction, g: SpaceFunction) -> Sp
     _require_distributive(lattice)
     mt = lattice.meet_table
     images = lattice.extend([mt[f.images[j], g.images[j]] for j in lattice.irreducibles])
-    return SpaceFunction(lattice, tuple(images.tolist()))
+    return SpaceFunction(lattice, images)
 
 
 def delta_pair_subtract(
@@ -107,7 +107,7 @@ def delta_pair_subtract(
     gi = np.asarray(g.images, dtype=np.int32)
     values = lattice.join_table[fi[a], gi[lattice.subtract_table[cs, a]]]
     images = lattice.run_meets(values, np.searchsorted(cs, np.arange(lattice.n)))
-    return SpaceFunction(lattice, tuple(images.tolist()))
+    return SpaceFunction(lattice, images)
 
 
 def delta_tuples_direct(scs: Scs, group, c: int) -> int:
@@ -243,61 +243,37 @@ def verify_gdc(scs: Scs, family: Mapping | DeltaFamily) -> GdcReport:
     if len(scs.agents) > MAX_GDC_AGENTS:
         raise TooLarge(f"{len(scs.agents)} agents exceeds the cap of {MAX_GDC_AGENTS}")
     cache = family.cache if isinstance(family, DeltaFamily) else dict(family)
-    entries: dict[frozenset, object] = {frozenset(k): v for k, v in cache.items()}
+    entries = {frozenset(k): getattr(v, "images", v) for k, v in cache.items()}
     lattice = scs.lattice
-    failures: list[str] = []
 
-    names = sorted(scs.agents)
     subsets = [frozenset(g) for g in subgroups(scs)]
     missing = [s for s in subsets if s not in entries]
     if missing:
-        failures.append(f"family has no entry for group {sorted(missing[0])}")
-        return GdcReport(False, failures, 0)
+        return GdcReport(False, [f"family has no entry for group {sorted(missing[0])}"], 0)
 
-    def images_of(value) -> tuple[int, ...]:
-        if isinstance(value, SpaceFunction):
-            return value.images
-        return tuple(int(x) for x in value)
+    def failed(text: str) -> GdcReport:
+        return GdcReport(False, [text], len(subsets))
 
-    # D.1
     for key in subsets:
-        violation = validate_space_function(lattice, images_of(entries[key]))
+        violation = validate_space_function(lattice, entries[key])
         if violation is not None:
-            failures.append(
-                f"D.1 fails for group {sorted(key)}: {violation.describe(lattice)}"
+            return failed(f"D.1 fails for group {sorted(key)}: {violation.describe(lattice)}")
+    for name in sorted(scs.agents):
+        if not np.array_equal(entries[frozenset([name])], scs.agent(name).images):
+            return failed(f"D.2 fails: entry for [{name!r}] is not the agent function")
+    for small, large in itertools.combinations(subsets, 2):
+        if small <= large and not lattice.leq[entries[large], entries[small]].all():
+            return failed(
+                f"D.3 fails: entry for {sorted(large)} is not below entry for {sorted(small)}"
             )
-            break
-    # D.2
-    if not failures:
-        for name in names:
-            if images_of(entries[frozenset([name])]) != scs.agent(name).images:
-                failures.append(f"D.2 fails: entry for [{name!r}] is not the agent function")
-                break
-    # D.3
-    if not failures:
-        leq = lattice.leq
-        for small, large in itertools.combinations(subsets, 2):
-            if small <= large:
-                a = images_of(entries[small])
-                b = images_of(entries[large])
-                if not all(leq[y, x] for x, y in zip(a, b)):
-                    failures.append(
-                        f"D.3 fails: entry for {sorted(large)} is not below entry "
-                        f"for {sorted(small)}"
-                    )
-                    break
-
-    if not failures:
-        for key in subsets:
-            exact = function_meet_oracle(lattice, [scs.agent(i) for i in sorted(key)])
-            if images_of(entries[key]) != exact.images:
-                failures.append(
-                    f"maximality fails for group {sorted(key)}: entry differs "
-                    "from the enumerated meet"
-                )
-                break
-
-    return GdcReport(not failures, failures, len(subsets))
+    for key in subsets:
+        exact = function_meet_oracle(lattice, [scs.agent(i) for i in sorted(key)])
+        if not np.array_equal(entries[key], exact.images):
+            return failed(
+                f"maximality fails for group {sorted(key)}: entry differs "
+                "from the enumerated meet"
+            )
+    return GdcReport(True, [], len(subsets))
 
 
 # -- survey of the pair formula on non-distributive lattices -----------------------

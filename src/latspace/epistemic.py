@@ -196,6 +196,8 @@ class KripkeModel:
         states = set(self.states)
         if len(states) != len(self.states) or not states:
             raise InvalidElement("states must be distinct and non-empty")
+        if len(set(self.props)) != len(self.props):
+            raise InvalidElement("propositions must be distinct")
         for agent, pairs in self.relations.items():
             for s, t in pairs:
                 if s not in states or t not in states:
@@ -206,9 +208,11 @@ class KripkeModel:
         for s, row in self.valuation.items():
             if s not in states:
                 raise InvalidElement(f"valuation references unknown state {s!r}")
-            for p in row:
+            for p, v in row.items():
                 if p not in self.props:
                     raise InvalidElement(f"valuation of state {s!r} references unknown prop {p!r}")
+                if v not in (0, 1):
+                    raise InvalidElement(f"value of prop {p!r} at state {s!r} is {v!r}, not 0 or 1")
         valuation = {s: dict(row) for s, row in self.valuation.items()}
         for s in self.states:
             row = valuation.setdefault(s, {})
@@ -384,7 +388,7 @@ def _induce(models: tuple[KripkeModel, ...]) -> KripkeScs:
             for s, t in m.relations.get(agent, ()):
                 succ[i, s] |= bit[i, t]
         inside = (np.array(list(succ.values()), dtype=np.int64) & ~masks) == 0
-        agents[agent] = SpaceFunction(lattice, tuple((inside @ weights).tolist()))
+        agents[agent] = SpaceFunction(lattice, inside @ weights)
     return KripkeScs(models, tuple(pts), Scs(lattice, agents))
 
 

@@ -62,6 +62,18 @@ def _is_space_function(lattice: FiniteLattice, img: np.ndarray) -> np.ndarray:
     ).all(axis=(0, 1))
 
 
+def _image_array(lattice: FiniteLattice, images) -> np.ndarray:
+    """Any image sequence as an int32 array of n element ids, or InvalidElement."""
+    img = np.asarray(images, dtype=np.int32)
+    n = lattice.n
+    if img.shape != (n,):
+        raise InvalidElement(f"expected {n} images, got shape {img.shape}")
+    if img.min() < 0 or img.max() >= n:
+        bad = int(np.argmax((img < 0) | (img >= n)))
+        raise InvalidElement(f"image of {lattice.labels[bad]!r} is not an element id")
+    return img
+
+
 def validate_space_function(lattice: FiniteLattice, images) -> AxiomViolation | None:
     """Check S.1 (bottom to bottom) and S.2 (binary joins preserved).
 
@@ -81,33 +93,28 @@ def validate_space_function(lattice: FiniteLattice, images) -> AxiomViolation | 
     distributive or not.  Only a failed verdict scans all n^2 pairs for
     the witness.
     """
-    img = np.asarray(images, dtype=np.int32)
-    n = lattice.n
-    if img.shape != (n,):
-        raise InvalidElement(f"expected {n} images, got shape {img.shape}")
-    if img.min() < 0 or img.max() >= n:
-        bad = int(np.argmax((img < 0) | (img >= n)))
-        raise InvalidElement(f"image of {lattice.labels[bad]!r} is not an element id")
+    img = _image_array(lattice, images)
     if _is_space_function(lattice, img):
         return None
     if img[lattice.bottom_id] != lattice.bottom_id:
         return AxiomViolation("S.1", (lattice.bottom_id,))
     diff = img[lattice.join_table] != lattice.join_table[np.ix_(img, img)]
-    return AxiomViolation("S.2", divmod(int(np.argmax(diff)), n))
+    return AxiomViolation("S.2", divmod(int(np.argmax(diff)), lattice.n))
 
 
 @dataclass(frozen=True)
 class SpaceFunction:
-    """A validated space function: images[x] is the image of element x."""
+    """A validated space function: images[x] is the image of element x, a Python int."""
 
     lattice: FiniteLattice
     images: tuple[int, ...]
 
     def __post_init__(self):
-        violation = validate_space_function(self.lattice, self.images)
+        img = np.asarray(self.images, dtype=np.int32)
+        violation = validate_space_function(self.lattice, img)
         if violation is not None:
             raise NotASpaceFunction(violation.describe(self.lattice))
-        object.__setattr__(self, "images", tuple(int(x) for x in self.images))
+        object.__setattr__(self, "images", tuple(img.tolist()))
 
     def __call__(self, x: int) -> int:
         return self.images[self.lattice.check_id(x)]
@@ -118,12 +125,6 @@ class SpaceFunction:
             for i, y in enumerate(self.images)
         )
         return f"SpaceFunction({arrows})"
-
-    def table(self) -> list[tuple[str, str]]:
-        return [
-            (self.lattice.labels[i], self.lattice.labels[y])
-            for i, y in enumerate(self.images)
-        ]
 
 
 def identity_function(lattice: FiniteLattice) -> SpaceFunction:
@@ -139,7 +140,7 @@ def top_function(lattice: FiniteLattice) -> SpaceFunction:
     """bottom at bottom, top elsewhere: the least space."""
     images = [lattice.top_id] * lattice.n
     images[lattice.bottom_id] = lattice.bottom_id
-    return SpaceFunction(lattice, tuple(images))
+    return SpaceFunction(lattice, images)
 
 
 class Classification(NamedTuple):
@@ -149,11 +150,9 @@ class Classification(NamedTuple):
 
 def classify_images(lattice: FiniteLattice, images) -> Classification:
     """Classification of an arbitrary self-map given as an image array."""
-    img = [lattice.check_id(x) for x in images]
-    leq = lattice.leq
-    idem = all(img[img[x]] == img[x] for x in range(lattice.n))
-    ext = all(leq[x, img[x]] for x in range(lattice.n))
-    return Classification(idem, ext)
+    img = _image_array(lattice, images)
+    extensive = lattice.leq[np.arange(lattice.n), img].all()
+    return Classification(bool((img[img] == img).all()), bool(extensive))
 
 
 def classify(f: SpaceFunction) -> Classification:
@@ -181,12 +180,7 @@ def pointwise_join(fs: Sequence[SpaceFunction]) -> SpaceFunction:
     """Point-wise join; always a space function (join in the function lattice)."""
     lattice = _same_lattice(fs)
     jt = lattice.join_table
-    images = reduce(
-        lambda acc, f: [int(jt[a, b]) for a, b in zip(acc, f.images)],
-        fs[1:],
-        list(fs[0].images),
-    )
-    return SpaceFunction(lattice, tuple(images))
+    return SpaceFunction(lattice, reduce(lambda acc, f: jt[acc, f.images], fs[1:], fs[0].images))
 
 
 def pointwise_meet_raw(fs: Sequence[SpaceFunction]) -> list[int]:
@@ -197,11 +191,7 @@ def pointwise_meet_raw(fs: Sequence[SpaceFunction]) -> list[int]:
     """
     lattice = _same_lattice(fs)
     mt = lattice.meet_table
-    return reduce(
-        lambda acc, f: [int(mt[a, b]) for a, b in zip(acc, f.images)],
-        fs[1:],
-        list(fs[0].images),
-    )
+    return reduce(lambda acc, f: mt[acc, f.images], fs[1:], np.asarray(fs[0].images)).tolist()
 
 
 # -- enumeration -------------------------------------------------------------
@@ -281,9 +271,9 @@ def enumerate_space_functions(
     join-irreducibles, taken in topological order.
     """
     return [
-        SpaceFunction(lattice, tuple(images))
+        SpaceFunction(lattice, images)
         for block in _space_function_blocks(lattice, below)
-        for images in block.T.tolist()
+        for images in block.T
     ]
 
 
@@ -302,7 +292,7 @@ def function_meet_oracle(lattice: FiniteLattice, fs: Sequence[SpaceFunction]) ->
             half = joined.shape[1] // 2
             pairs = jt[joined[:, :half], joined[:, half : 2 * half]]
             joined = np.hstack([pairs, joined[:, 2 * half :]])
-    return SpaceFunction(lattice, tuple(joined[:, 0].tolist()))
+    return SpaceFunction(lattice, joined[:, 0])
 
 
 def enum_budget() -> int:
@@ -336,7 +326,7 @@ def random_space_function(lattice: FiniteLattice, rng) -> SpaceFunction:
             values[k] = rng.choice(lattice.up_ids(floor))
         images = lattice.extend(values)
         if _is_space_function(lattice, images):
-            return SpaceFunction(lattice, tuple(images.tolist()))
+            return SpaceFunction(lattice, images)
 
 
 # -- projections --------------------------------------------------------------
@@ -349,8 +339,7 @@ def agent_projection(f: SpaceFunction, c: int) -> int:
     """
     lattice = f.lattice
     c = lattice.check_id(c)
-    img = np.asarray(f.images, dtype=np.int32)
-    derivable = np.nonzero(lattice.leq[img, c])[0]
+    derivable = np.nonzero(lattice.leq[f.images, c])[0]
     return lattice.join_of(derivable)
 
 
@@ -439,4 +428,4 @@ def _parse_images(lattice: FiniteLattice, spec) -> SpaceFunction:
             raise InvalidElement(f"no image listed for element {missing!r}")
     else:
         images = [lattice.id_of(s) for s in entries]
-    return SpaceFunction(lattice, tuple(images))
+    return SpaceFunction(lattice, images)

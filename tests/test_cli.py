@@ -366,7 +366,10 @@ def test_lattice_check_over_the_element_cap_fails_fast(tmp_path):
     '{"states": ["s"], "props": ["p"], "val": {"s": [1]}}',
     '{"states": ["s"], "props": ["p"], "val": {"u": {"p": 1}}, "rel": {"1": [["s", "s"]]}}',
     '{"states": ["s"], "props": ["p"], "val": {"s": {"q": 1}}, "rel": {"1": [["s", "s"]]}}',
-], ids=["pairs", "val-array", "rel-array", "row-array", "val-state", "val-prop"])
+    '{"states": ["s"], "props": ["p"], "val": {"s": {"p": 7}}, "rel": {"1": [["s", "s"]]}}',
+    '{"states": ["s"], "props": ["p", "p"], "rel": {"1": [["s", "s"]]}}',
+], ids=["pairs", "val-array", "rel-array", "row-array", "val-state", "val-prop", "val-value",
+        "props-repeated"])
 def test_kripke_relation_pairs_given_as_strings(doc, tmp_path):
     path = tmp_path / "model.json"
     path.write_text(doc)

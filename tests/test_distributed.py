@@ -440,6 +440,7 @@ def test_verify_gdc_flags_constant_bottom_family(m2_scs):
     report = ls.verify_gdc(m2_scs, entries)
     assert not report.ok
     assert any("maximality" in f for f in report.failures)
+    assert len(report.failures) == 1
 
 
 def test_verify_gdc_flags_d3_violation(m2_scs):
@@ -449,6 +450,7 @@ def test_verify_gdc_flags_d3_violation(m2_scs):
     report = ls.verify_gdc(m2_scs, entries)
     assert not report.ok
     assert any("D.3" in f for f in report.failures)
+    assert len(report.failures) == 1
 
 
 def test_verify_gdc_flags_d1_violation(m2_scs):
@@ -458,6 +460,7 @@ def test_verify_gdc_flags_d1_violation(m2_scs):
     report = ls.verify_gdc(m2_scs, entries)
     assert not report.ok
     assert any("D.1" in f for f in report.failures)
+    assert len(report.failures) == 1
 
 
 def test_verify_gdc_flags_d2_violation(m2_scs):
@@ -467,6 +470,7 @@ def test_verify_gdc_flags_d2_violation(m2_scs):
     report = ls.verify_gdc(m2_scs, entries)
     assert not report.ok
     assert any("D.2" in f for f in report.failures)
+    assert len(report.failures) == 1
 
 
 def test_verify_gdc_propagates_the_oracle_budget(m2_scs, monkeypatch):
@@ -479,6 +483,7 @@ def test_verify_gdc_propagates_the_oracle_budget(m2_scs, monkeypatch):
 def test_verify_gdc_missing_entry(m2_scs):
     report = ls.verify_gdc(m2_scs, {})
     assert not report.ok
+    assert len(report.failures) == 1
 
 
 def test_verify_gdc_agent_cap(m2):

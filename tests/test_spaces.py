@@ -26,6 +26,24 @@ from conftest import (
 )
 
 
+def test_space_function_stores_python_ints_from_any_sequence(m2):
+    ids = [0, 3, 2, 3]
+    block = np.array([ids, [0, 1, 2, 3]], dtype=np.int32).T.copy()
+    assert not block[:, 0].flags.contiguous
+    given = [ids, tuple(ids), np.array(ids, dtype=np.int32), np.array(ids, dtype=np.int64),
+             block[:, 0]]
+    for images in given:
+        f = ls.SpaceFunction(m2, images)
+        assert f.images == (0, 3, 2, 3)
+        assert all(type(y) is int for y in f.images)
+
+
+@pytest.mark.parametrize("images", [[0, 3, 2], [0, 3, 2, 3, 3]], ids=["short", "long"])
+def test_classify_images_checks_the_length(m2, images):
+    with pytest.raises(InvalidElement, match="expected 4 images"):
+        ls.classify_images(m2, images)
+
+
 def test_identity_validates(m2):
     assert ls.validate_space_function(m2, list(range(4))) is None
 
@@ -158,6 +176,18 @@ def test_pointwise_meet_raw_single_and_top(m2_scs):
     assert ls.pointwise_meet_raw([f]) == list(f.images)
     hi = ls.top_function(m2_scs.lattice)
     assert ls.pointwise_meet_raw([hi, f]) == list(f.images)
+
+
+def test_pointwise_folds_of_three_match_the_element_folds(canonical, space_functions):
+    rng = random.Random(3)
+    for name, lat in canonical.items():
+        for _ in range(10):
+            fs = [rng.choice(space_functions[name]) for _ in range(3)]
+            columns = [[f.images[x] for f in fs] for x in range(lat.n)]
+            assert ls.pointwise_join(fs).images == tuple(lat.join_of(c) for c in columns)
+            meet = ls.pointwise_meet_raw(fs)
+            assert meet == [lat.meet_of(c) for c in columns]
+            assert all(type(y) is int for y in meet)
 
 
 # -- enumeration ------------------------------------------------------------------
