@@ -200,7 +200,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"ERROR FileError: {exc}", file=sys.stderr)
         return 1
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except UnicodeError as exc:  # undecodable PBM text; output or a path not encodable
         print(f"ERROR FormatError: {exc}", file=sys.stderr)
         return 1
     except RecursionError:  # deep JSON arrays, formulas, or formula chains

@@ -15,7 +15,6 @@ independent references for the selfcheck catalogue.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from dataclasses import dataclass, field
@@ -25,6 +24,7 @@ import numpy as np
 
 from .distributed import DeltaFamily
 from .errors import InvalidElement, TooLarge, UnknownAgent, UnknownProp
+from .errors import json_list, json_object, json_pairs, read_json
 from .lattice import MAX_ELEMENTS, FiniteLattice, powerset_order
 from .spaces import Scs, SpaceFunction
 
@@ -164,22 +164,6 @@ def parse_formula(text: str) -> Formula:
     return node
 
 
-def _json_list(value, what: str, length: int | None = None) -> list:
-    """A JSON array, of `length` entries when given.  Strings are refused:
-    iterating one would split it into characters."""
-    if not isinstance(value, list) or length not in (None, len(value)):
-        size = "" if length is None else f" of {length} entries"
-        raise InvalidElement(f"{what} must be a list{size}, got {value!r}")
-    return value
-
-
-def _json_object(value, what: str) -> dict:
-    """A JSON object; an array in its place is refused, not half-read."""
-    if not isinstance(value, dict):
-        raise InvalidElement(f"{what} must be an object, got {value!r}")
-    return value
-
-
 # -- Kripke models --------------------------------------------------------------
 
 
@@ -211,7 +195,7 @@ class KripkeModel:
             for p, v in row.items():
                 if p not in self.props:
                     raise InvalidElement(f"valuation of state {s!r} references unknown prop {p!r}")
-                if v not in (0, 1):
+                if type(v) is not int or v not in (0, 1):
                     raise InvalidElement(f"value of prop {p!r} at state {s!r} is {v!r}, not 0 or 1")
         valuation = {s: dict(row) for s, row in self.valuation.items()}
         for s in self.states:
@@ -226,28 +210,18 @@ class KripkeModel:
 
     @classmethod
     def from_json(cls, doc: dict) -> "KripkeModel":
-        try:
-            states = tuple(str(s) for s in _json_list(doc["states"], '"states"'))
-            props = tuple(str(p) for p in _json_list(doc.get("props", []), '"props"'))
-            val = {
-                str(s): {str(p): int(v) for p, v in _json_object(row, "a valuation row").items()}
-                for s, row in _json_object(doc.get("val", {}), '"val"').items()
-            }
-            rel = {
-                str(agent): frozenset(
-                    tuple(str(s) for s in _json_list(pair, "a relation pair", 2))
-                    for pair in _json_list(pairs, "a relation")
-                )
-                for agent, pairs in _json_object(doc.get("rel", {}), '"rel"').items()
-            }
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidElement(f"malformed Kripke document: {exc}") from None
+        doc = json_object(doc, "a Kripke document")
+        states = tuple(json_list(doc.get("states"), '"states"', item=str))
+        props = tuple(json_list(doc.get("props", []), '"props"', item=str))
+        val = {s: json_object(row, "a valuation row")
+               for s, row in json_object(doc.get("val", {}), '"val"').items()}
+        rel = {agent: frozenset(map(tuple, json_pairs(pairs, f"relation {agent!r}")))
+               for agent, pairs in json_object(doc.get("rel", {}), '"rel"').items()}
         return cls(states, props, val, rel)
 
     @classmethod
     def load(cls, path) -> "KripkeModel":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(read_json(path))
 
 
 PointedState = tuple[int, str]  # (model index, state)
@@ -469,23 +443,18 @@ class AumannStructure:
 
     @classmethod
     def from_json(cls, doc: dict) -> "AumannStructure":
-        try:
-            states = tuple(str(s) for s in _json_list(doc["states"], '"states"'))
-            partitions = {
-                str(agent): tuple(
-                    frozenset(str(s) for s in _json_list(block, "a partition block"))
-                    for block in _json_list(blocks, "a partition")
-                )
-                for agent, blocks in _json_object(doc["partitions"], '"partitions"').items()
-            }
-        except (KeyError, TypeError) as exc:
-            raise InvalidElement(f"malformed Aumann document: {exc}") from None
+        doc = json_object(doc, "an Aumann document")
+        states = tuple(json_list(doc.get("states"), '"states"', item=str))
+        partitions = {
+            agent: tuple(frozenset(json_list(block, f"a block of agent {agent!r}", item=str))
+                         for block in json_list(blocks, f"partition {agent!r}"))
+            for agent, blocks in json_object(doc.get("partitions"), '"partitions"').items()
+        }
         return cls(states, partitions)
 
     @classmethod
     def load(cls, path) -> "AumannStructure":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(read_json(path))
 
 
 def aumann_know(a: AumannStructure, agent: str, event: frozenset[str]) -> frozenset[str]:

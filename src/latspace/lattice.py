@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidElement, NotALattice, NotAntisymmetric, NotDistributive, TooLarge
+from .errors import json_list, json_object, json_pairs, read_json
 
 # Largest lattice built.  Construction is super-quadratic: a powerset
 # builds in about 0.2 s at 1024 elements and 1.6-2.0 s at 2048 (see README).
@@ -389,24 +390,14 @@ class FiniteLattice:
 
     @classmethod
     def from_json(cls, doc: dict):
-        try:
-            labels, covers = doc["elements"], doc["covers"]
-        except (KeyError, TypeError) as exc:
-            raise InvalidElement(f"malformed lattice document: {exc}") from None
-        if not _is_str_list(labels):
-            raise InvalidElement('"elements" must be a list of strings')
-        if not isinstance(covers, list) or not all(
-            isinstance(pair, list) and len(pair) == 2
-            and isinstance(pair[0], str) and isinstance(pair[1], str)
-            for pair in covers
-        ):
-            raise InvalidElement('"covers" must be a list of two-string lists')
+        doc = json_object(doc, "a lattice document")
+        labels = json_list(doc.get("elements"), '"elements"', item=str)
+        covers = json_pairs(doc.get("covers"), '"covers"')
         return build_lattice(labels, covers)
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(read_json(path))
 
 
 def _levels(below: np.ndarray) -> list[np.ndarray]:
@@ -424,10 +415,6 @@ def _levels(below: np.ndarray) -> list[np.ndarray]:
         above -= below[level].sum(axis=0)
         level = (above == 0).nonzero()[0]
     return levels
-
-
-def _is_str_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 
 def _check_elements(n: int) -> None:

@@ -128,7 +128,3 @@ def write_pbm(path, points: PointSet, *, canvas: tuple[int, int, int, int] | Non
     with open(path, "w", encoding="ascii") as fh:
         fh.write(text)
 
-
-def raster_canvas(width: int, height: int) -> tuple[int, int, int, int]:
-    """Canvas covering a width x height raster anchored at the world origin."""
-    return (0, 0, width - 1, height - 1)

@@ -32,6 +32,9 @@ from .errors import (
     NotASpaceFunction,
     TooLarge,
     UnknownAgent,
+    json_list,
+    json_object,
+    read_json,
 )
 from .lattice import FiniteLattice
 
@@ -386,37 +389,25 @@ class Scs:
 
     @classmethod
     def from_json(cls, doc: dict, *, base_dir: str = ".") -> "Scs":
-        agents_doc = doc.get("agents", {}) if isinstance(doc, dict) else None
-        if not isinstance(agents_doc, dict):
-            raise InvalidElement(
-                "malformed agent-system document: expected an object whose "
-                "agents entry is an object"
-            )
+        doc = json_object(doc, "an agent-system document")
+        agents_doc = json_object(doc.get("agents", {}), '"agents"')
         lattice_doc = doc.get("lattice")
         if isinstance(lattice_doc, str):
             lattice = FiniteLattice.load(os.path.join(base_dir, lattice_doc))
         else:
             lattice = FiniteLattice.from_json(lattice_doc)
-        agents = {}
-        for name, spec in agents_doc.items():
-            agents[str(name)] = _parse_images(lattice, spec)
-        return cls(lattice, agents)
+        return cls(lattice, {name: _parse_images(lattice, name, spec)
+                             for name, spec in agents_doc.items()})
 
     @classmethod
     def load(cls, path) -> "Scs":
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return cls.from_json(doc, base_dir=os.path.dirname(os.path.abspath(path)))
+        return cls.from_json(read_json(path), base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def _parse_images(lattice: FiniteLattice, spec) -> SpaceFunction:
+def _parse_images(lattice: FiniteLattice, name: str, spec) -> SpaceFunction:
     """Agent images: either plain image labels in element order, or
     arrow entries "src→dst" in any order (also accepts "->")."""
-    if not isinstance(spec, list) or len(spec) != lattice.n:
-        raise InvalidElement(
-            f"agent needs {lattice.n} image entries, got {spec!r}"
-        )
-    entries = [str(s) for s in spec]
+    entries = json_list(spec, f"agent {name!r}", length=lattice.n, item=str)
     if any("→" in s or "->" in s for s in entries):
         images = [-1] * lattice.n
         for entry in entries:

@@ -368,8 +368,10 @@ def test_lattice_check_over_the_element_cap_fails_fast(tmp_path):
     '{"states": ["s"], "props": ["p"], "val": {"s": {"q": 1}}, "rel": {"1": [["s", "s"]]}}',
     '{"states": ["s"], "props": ["p"], "val": {"s": {"p": 7}}, "rel": {"1": [["s", "s"]]}}',
     '{"states": ["s"], "props": ["p", "p"], "rel": {"1": [["s", "s"]]}}',
+    *[f'{{"states": ["s"], "props": ["p"], "val": {{"s": {{"p": {v}}}}}, "rel": {{"1": [["s", "s"]]}}}}'
+      for v in ("0.7", "1.5", '"1"', "true")],
 ], ids=["pairs", "val-array", "rel-array", "row-array", "val-state", "val-prop", "val-value",
-        "props-repeated"])
+        "props-repeated", "val-fraction", "val-above-one", "val-string", "val-bool"])
 def test_kripke_relation_pairs_given_as_strings(doc, tmp_path):
     path = tmp_path / "model.json"
     path.write_text(doc)
@@ -391,6 +393,49 @@ def test_aumann_blocks_given_as_strings(doc, tmp_path):
     assert out.stderr.count("\n") == 1
     assert out.stderr.startswith("ERROR InvalidElement:")
 
+
+# Every label is a JSON string: a null, list, float or boolean label is
+# refused, even where its str() would name a declared label.
+LABEL_CASES = {"null": None, "list": ["t"], "float": 0.5, "bool": True}
+
+
+def _label_document(loader, value):
+    name = str(value)  # what a coercing loader would read the label as
+    return {
+        "scs-check": {"lattice": {"elements": [name, "b"], "covers": [[name, "b"]]},
+                      "agents": {"1": [value, "b"]}},
+        "kripke": {"states": [value], "rel": {"1": [[value, value]]}},
+        "aumann": {"states": [value], "partitions": {"1": [[value]]}},
+    }[loader]
+
+
+@pytest.mark.parametrize("label", sorted(LABEL_CASES))
+@pytest.mark.parametrize("loader", ["scs-check", "kripke", "aumann"])
+def test_non_string_labels_are_refused(loader, label, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_label_document(loader, LABEL_CASES[label])))
+    argv = {"scs-check": ["scs-check", str(path)],
+            "kripke": ["kripke", "--model", str(path), "--formula", "T"],
+            "aumann": ["aumann", "--model", str(path), "--group", "1", "--event", ""]}[loader]
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1
+    assert err.startswith("ERROR InvalidElement:")
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["lattice-check", "{path}"], '{"elements": ["\\ud800"], "covers": []}'),  # unprintable label
+    (["scs-check", "{path}"], '{"lattice": "m2\\u0000.json"}'),  # NUL in the lattice path
+    (["kripke", "--model", "{path}", "--formula", "p"], "9" * 5000),  # past the 4300-digit limit
+], ids=["lone-surrogate-label", "nul-in-path", "long-integer"])
+def test_inputs_python_cannot_take_are_one_error_line(argv, text, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert cli.main([a.replace("{path}", str(path)) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("ERROR FormatError:")
 
 
 @pytest.mark.parametrize("argv", [

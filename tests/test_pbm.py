@@ -64,7 +64,7 @@ def test_round_trip_preserves_points_and_canvas(tmp_path):
 def test_write_respects_canvas(tmp_path):
     pts = PointSet(2, frozenset({(1, -1)}))
     path = tmp_path / "img.pbm"
-    pbm.write_pbm(path, pts, canvas=pbm.raster_canvas(3, 3))
+    pbm.write_pbm(path, pts, canvas=(0, 0, 2, 2))
     text = path.read_text()
     assert "3 3" in text
     assert pbm.read_pbm(path) == pts
@@ -72,7 +72,7 @@ def test_write_respects_canvas(tmp_path):
 
 def test_empty_image_writes_all_white(tmp_path):
     path = tmp_path / "white.pbm"
-    pbm.write_pbm(path, PointSet(2, frozenset()), canvas=pbm.raster_canvas(4, 2))
+    pbm.write_pbm(path, PointSet(2, frozenset()), canvas=(0, 0, 3, 1))
     text = path.read_text()
     assert "1" not in text.splitlines()[-1]
     assert pbm.read_pbm(path) == PointSet(2, frozenset())
