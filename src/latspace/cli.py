@@ -4,6 +4,8 @@ epistemic queries, image morphology, and the selfcheck suite."""
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import sys
 
@@ -189,8 +191,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out = io.StringIO()
     try:
-        return args.run(args)
+        with contextlib.redirect_stdout(out):
+            code = args.run(args)
+        # One write encodes all of stdout before any goes out, so a refusal prints nothing.
+        sys.stdout.write(out.getvalue())
+        return code
     except LatspaceError as exc:
         print(f"ERROR {exc.code}: {exc}", file=sys.stderr)
         return 1

@@ -20,8 +20,6 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .distributed import DeltaFamily
 from .errors import InvalidElement, TooLarge, UnknownAgent, UnknownProp
 from .errors import json_list, json_object, json_pairs, read_json
@@ -346,23 +344,23 @@ def _induce(models: tuple[KripkeModel, ...]) -> KripkeScs:
 
     Bit k of an element mask is pointed state k, and an agent maps a mask
     x to the states whose successor mask lies inside x: the box operator,
-    which validates against the space axioms.  `powerset_order` raises
-    TooLarge before any work past 10 pointed states (2^k > MAX_ELEMENTS).
+    which validates against the space axioms.  The join-irreducibles are
+    the co-singletons; the box maps the one without t to the states that
+    do not see t, and each agent is the extension of those images.
+    `powerset_order` raises TooLarge before any work past 10 pointed states.
     """
     pts = pointed_states(models)
     labels, leq = powerset_order([s if len(models) == 1 else f"m{i}:{s}" for i, s in pts])
     lattice = FiniteLattice(labels, leq.T)
     bit = {p: 1 << k for k, p in enumerate(pts)}
-    masks = np.arange(1 << len(pts), dtype=np.int64)[:, None]
-    weights = np.array(list(bit.values()), dtype=np.int64)
     agents = {}
     for agent in sorted(_model_agents(models)):
         succ = dict.fromkeys(pts, 0)
         for i, m in enumerate(models):
             for s, t in m.relations.get(agent, ()):
                 succ[i, s] |= bit[i, t]
-        inside = (np.array(list(succ.values()), dtype=np.int64) & ~masks) == 0
-        agents[agent] = SpaceFunction(lattice, inside @ weights)
+        boxes = [sum(bit[p] for p in pts if not succ[p] & ~j) for j in lattice.irreducibles]
+        agents[agent] = SpaceFunction(lattice, lattice.extend(boxes))
     return KripkeScs(models, tuple(pts), Scs(lattice, agents))
 
 

@@ -28,8 +28,8 @@ def _tokenize(text: str):
     for line in text.splitlines():
         body, _, comment = line.partition("#")
         comment = comment.strip()
-        if comment.startswith("origin"):
-            parts = comment.split()
+        parts = comment.split()
+        if parts[:1] == ["origin"]:
             if len(parts) != 3:
                 raise FormatError(f"malformed origin comment {comment!r}")
             try:

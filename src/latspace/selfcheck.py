@@ -338,12 +338,14 @@ def intersection_law(triples: Iterable[tuple[PointSet, PointSet, PointSet]]) -> 
                  f"disjoint brushes {a}, {b} pool to {pooled}")
 
 
-def small_module_bridge() -> morphology.SmallModuleReport:
+def small_module_bridge() -> str:
     """On the 2x2 torus the oracle meet of two dilations dilates by the intersected brush."""
-    report = morphology.theorem_check_small_module()
-    summary = report.summary()
-    _require(report.ok and report.pairs_checked == 256 and "256" in summary, summary)
-    return report
+    pairs = (1 << len(morphology.TORUS_2X2)) ** 2
+    mismatches = morphology.theorem_check_small_module()
+    first = ", ".join(f"{mask:04b}" for pair in mismatches[:1] for mask in pair)
+    _require(not mismatches, f"{len(mismatches)} mismatching pairs out of {pairs}; "
+             f"first masks ({first})")
+    return f"pooled dilation equals intersected-brush dilation on all {pairs} structuring-element pairs"
 
 
 def tuple_formula_survey(lattice: FiniteLattice, name: str) -> distributed.TupleFormulaSurvey:
@@ -428,7 +430,7 @@ CHECKS: list[tuple[str, str | None, Callable]] = [
      lambda rng: intersection_law([UNIT_INTERVAL] + [
          (random_pointset(rng, 2), random_pointset(rng, 2, (0, 4)), random_pointset(rng, 2, (0, 4)))
          for _ in range(50)])),
-    ("small-module-bridge", None, lambda rng: small_module_bridge().summary()),
+    ("small-module-bridge", None, lambda rng: small_module_bridge()),
     ("tuple-formula-survey", None, lambda rng: " | ".join(
         tuple_formula_survey(fixtures()[name], name).summary() for name in ("M3", "N5"))),
 ]

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Iterator, NamedTuple, Sequence
@@ -404,19 +405,31 @@ class Scs:
         return cls.from_json(read_json(path), base_dir=os.path.dirname(os.path.abspath(path)))
 
 
+_ARROW = re.compile("→|->")
+
+
 def _parse_images(lattice: FiniteLattice, name: str, spec) -> SpaceFunction:
-    """Agent images: either plain image labels in element order, or
-    arrow entries "src→dst" in any order (also accepts "->")."""
+    """Agent images: a list whose entries are all labels, or that has an
+    entry without an arrow, gives the images in element order; otherwise
+    every entry is an arrow "src→dst" (or "src->dst"), in any order, that
+    splits into two labels at exactly one arrow."""
     entries = json_list(spec, f"agent {name!r}", length=lattice.n, item=str)
-    if any("→" in s or "->" in s for s in entries):
-        images = [-1] * lattice.n
-        for entry in entries:
-            sep = "→" if "→" in entry else "->"
-            src, _, dst = entry.partition(sep)
-            images[lattice.id_of(src.strip())] = lattice.id_of(dst.strip())
-        if -1 in images:
-            missing = lattice.labels[images.index(-1)]
-            raise InvalidElement(f"no image listed for element {missing!r}")
-    else:
-        images = [lattice.id_of(s) for s in entries]
+    labels = set(lattice.labels)
+    if all(s in labels for s in entries) or not all(_ARROW.search(s) for s in entries):
+        # the plain form; id_of names any unknown label
+        return SpaceFunction(lattice, [lattice.id_of(s) for s in entries])
+    images = [-1] * lattice.n
+    for entry in entries:
+        cuts = [(entry[:m.start()].strip(), entry[m.end():].strip())
+                for m in _ARROW.finditer(entry)]
+        splits = [(src, dst) for src, dst in cuts if src in labels and dst in labels]
+        if not splits:  # id_of names the unknown label at the first arrow
+            for label in cuts[0]:
+                lattice.id_of(label)
+        if len(splits) > 1:
+            raise InvalidElement(f"agent {name!r}: entry {entry!r} is an arrow between two "
+                                 f"labels in {len(splits)} ways, not exactly one")
+        images[lattice.id_of(splits[0][0])] = lattice.id_of(splits[0][1])
+    if -1 in images:
+        raise InvalidElement(f"no image listed for element {lattice.labels[images.index(-1)]!r}")
     return SpaceFunction(lattice, images)

@@ -438,6 +438,16 @@ def test_inputs_python_cannot_take_are_one_error_line(argv, text, tmp_path, caps
     assert err.startswith("ERROR FormatError:")
 
 
+def test_unencodable_output_leaves_stdout_empty(tmp_path):
+    # "elements: 1" encodes; the bottom label on the next line does not.
+    path = tmp_path / "lattice.json"
+    path.write_text('{"elements": ["\\ud800"], "covers": []}')
+    out = run_cli("lattice-check", str(path))
+    assert (out.returncode, out.stdout) == (1, "")
+    assert out.stderr.count("\n") == 1
+    assert out.stderr.startswith("ERROR FormatError:")
+
+
 @pytest.mark.parametrize("argv", [
     ["lattice-check", "{deep}"],
     ["kripke", "--model", "{fixtures}/kripke_pair.json", "--formula", "~" * 2000 + "p"],
@@ -528,11 +538,15 @@ GOLDEN_COMMANDS = [
     ["delta", "--scs", "{fixtures}/n5_scs.json", "--group", "1,2", "--method", "oracle",
      "--emit", "json"],
     ["delta", "--scs", "{fixtures}/n5_scs.json", "--group", "1,2", "--method", "tuple"],
+    ["lattice-check", "{fixtures}/n5.json"],
+    ["project", "--scs", "{fixtures}/m2_scs.json", "--group", "1,2", "--at", "p", "--kind", "agent"],
+    ["morph", "--op", "ddilate", "--image", "{fixtures}/image_t.pbm", "--se", "{fixtures}/se_a.pbm",
+     "--out", "{out}"],
 ]
 
 
 def _run_golden(argv, out_path: Path) -> dict:
-    """Exit code, stdout, stderr and (for `morph`) the written PBM of one command."""
+    """Exit code, stdout, stderr and (for a `morph` that succeeds) the written PBM of one command."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli.main([a.replace("{fixtures}", str(FIXTURE_DIR)).replace("{out}", str(out_path))
@@ -540,7 +554,7 @@ def _run_golden(argv, out_path: Path) -> dict:
     result = {"argv": argv, "code": code,
               "stdout": stdout.getvalue().replace(str(out_path), "{out}"),
               "stderr": stderr.getvalue()}
-    if argv[0] == "morph":
+    if argv[0] == "morph" and code == 0:  # a refused command writes no file
         result["pbm"] = out_path.read_text(encoding="utf-8")
     return result
 

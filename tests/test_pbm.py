@@ -35,6 +35,12 @@ def test_comments_and_packed_digits_are_tolerated():
     assert pts == PointSet(2, frozenset({(0, 0), (1, -1)}))
 
 
+@pytest.mark.parametrize("comment", ["# originally drawn by hand", "# origins: scanned"])
+def test_comments_that_only_start_with_origin_are_remarks(comment):
+    pts = pbm.parse_pbm(f"P1\n{comment}\n2 2\n10\n01\n")
+    assert pts == PointSet(2, frozenset({(0, 0), (1, -1)}))
+
+
 @pytest.mark.parametrize(
     "bad",
     [

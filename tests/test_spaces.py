@@ -391,6 +391,32 @@ def test_scs_arrow_image_format(m2, tmp_path):
     assert scs.agent("1").images == (0, 2, 1, 3)
 
 
+def _chain_doc(labels, images):
+    covers = [[lo, hi] for lo, hi in zip(labels, labels[1:])]
+    return {"lattice": {"elements": labels, "covers": covers}, "agents": {"1": images}}
+
+
+@pytest.mark.parametrize("labels,images,want", [
+    (["bot", "p→q", "top"], ["bot", "p→q", "top"], (0, 1, 2)),
+    (["bot", "a->b", "top"], ["bot", "a->b", "top"], (0, 1, 2)),
+    (["bot", "p→q", "top"], ["bot→bot", "p→q→top", "top->top"], (0, 2, 2)),
+], ids=["plain-unicode-arrow", "plain-ascii-arrow", "arrow-from-arrow-label"])
+def test_scs_labels_that_contain_arrows(labels, images, want):
+    assert ls.Scs.from_json(_chain_doc(labels, images)).agent("1").images == want
+
+
+@pytest.mark.parametrize("labels,images,message", [
+    # "a→b→c" reads as a→(b→c) and as (a→b)→c.
+    (["a", "a→b", "b→c", "c"], ["a→a", "a→b→c", "b→c→c", "c→c"],
+     "'a→b→c' is an arrow between two labels in 2 ways"),
+    (["bot", "p→q", "top"], ["bot", "p→q", "tpo"], "unknown element label 'tpo'"),
+    (["bot", "p→q", "top"], ["bot→bot", "p→q→top", "top→tpo"], "unknown element label 'tpo'"),
+], ids=["ambiguous-arrow", "plain-unknown-label", "arrow-unknown-label"])
+def test_scs_refused_agent_images_name_the_entry(labels, images, message):
+    with pytest.raises(InvalidElement, match=message):
+        ls.Scs.from_json(_chain_doc(labels, images))
+
+
 def test_scs_lattice_by_path(m2, tmp_path):
     m2.dump(tmp_path / "lat.json")
     doc = {"lattice": "lat.json", "agents": {"1": list(m2.labels)}}
