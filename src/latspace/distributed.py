@@ -8,7 +8,9 @@ per pair.  The subtraction recursion computes the same value as a
 vectorised meet reduction.  The raw pair formula (meet over all
 information combinations deriving each element), the direct tuple scan
 and the enumeration oracle (exact on every finite lattice) are kept as
-cross-checks.  Group and join projections are the adjoint side.
+cross-checks.  The survey of the raw pair formula on non-distributive
+lattices evaluates it on blocks of function pairs, one batched call per
+block.  Group and join projections are the adjoint side.
 """
 
 from __future__ import annotations
@@ -21,8 +23,10 @@ from typing import Mapping
 import numpy as np
 
 from .errors import NotDistributive, TooLarge
-from .lattice import FiniteLattice
+from .lattice import _BLOCK_PAIRS, FiniteLattice
 from .spaces import (
+    _first_violations,
+    _is_space_function,
     AxiomViolation,
     Scs,
     SpaceFunction,
@@ -50,23 +54,39 @@ def _require_distributive(lattice: FiniteLattice) -> None:
         )
 
 
-def pair_formula_images(lattice: FiniteLattice, f_images, g_images) -> list[int]:
+def pair_formula_images(
+    lattice: FiniteLattice, f_images, g_images
+) -> list[int] | np.ndarray:
     """Raw pair formula: for each c, the meet of f(a) join g(b) over all
     pairs whose join derives c.
 
     Computable on any lattice; it equals the function meet only on
     distributive ones.  Pairs are grouped by their join value x, whose
-    group meets are then combined over the up-set of each c.
+    group meets are then combined over the up-set of each c.  As in
+    FiniteLattice.extend, the images may carry a batch axis after the
+    element axis: n x P arrays give the n x P images of the P pairs of
+    columns, in one run_meets pass per step with the runs offset per
+    pair; 1-D images give a list of n ints.
     """
     n = lattice.n
     jt = lattice.join_table
-    fg = jt[np.ix_(np.asarray(f_images), np.asarray(g_images))]
+    f = np.asarray(f_images).reshape(n, -1).T
+    g = np.asarray(g_images).reshape(n, -1).T
+    fg = jt[f[:, :, None], g[:, None, :]].reshape(len(f), n * n)
     order = np.argsort(jt, axis=None, kind="stable")
     starts = np.searchsorted(jt.ravel()[order], np.arange(n))
     # (x, x) joins to x and c is below c, so every run is non-empty.
-    group_meet = lattice.run_meets(fg.ravel()[order], starts)
+    group_meet = lattice.run_meets(fg[:, order].ravel(), _offset_runs(starts, n * n, len(f)))
     cs, xs = np.nonzero(lattice.leq)
-    return lattice.run_meets(group_meet[xs], np.searchsorted(cs, np.arange(n))).tolist()
+    up_starts = _offset_runs(np.searchsorted(cs, np.arange(n)), len(xs), len(f))
+    images = lattice.run_meets(group_meet.reshape(-1, n)[:, xs].ravel(), up_starts)
+    images = images.reshape(-1, n).T
+    return images[:, 0].tolist() if np.ndim(f_images) == 1 else images
+
+
+def _offset_runs(starts: np.ndarray, size: int, batch: int) -> np.ndarray:
+    """Run starts of `batch` consecutive copies of a run layout of `size` values."""
+    return (np.arange(batch)[:, None] * size + starts).ravel()
 
 
 def delta_pair_raw(
@@ -319,20 +339,26 @@ def survey_tuple_formula(lattice: FiniteLattice, name: str = "lattice") -> Tuple
     Records every pair whose formula output breaks the space axioms (such
     pairs witness that distributivity is needed for the formula to compute
     function meets) and whether the output stayed monotone throughout.
+    The pairs (i, j) with i <= j go in row-major order, in blocks of about
+    _BLOCK_PAIRS / n^2 pairs, each through one batched formula call.  A
+    survey of more pairs than the enumeration budget raises TooLarge
+    before any pair is scanned.
     """
     fs = enumerate_space_functions(lattice)
+    firsts, seconds = np.triu_indices(len(fs))
+    cap = enum_budget()
+    if len(firsts) > cap:
+        raise TooLarge(f"the survey would scan {len(firsts)} pairs, cap is {cap}")
+    table = np.array([f.images for f in fs], dtype=np.int32).T
+    leq = lattice.leq[:, :, None]
     violations = []
     monotone = True
-    pair_count = 0
-    leq = lattice.leq
-    for i in range(len(fs)):
-        for j in range(i, len(fs)):
-            pair_count += 1
-            images = pair_formula_images(lattice, fs[i].images, fs[j].images)
-            img = np.asarray(images, dtype=np.int32)
-            if (leq & ~leq[np.ix_(img, img)]).any():
-                monotone = False
-            violation = validate_space_function(lattice, images)
-            if violation is not None:
-                violations.append((fs[i], fs[j], images, violation))
-    return TupleFormulaSurvey(name, len(fs), pair_count, monotone, violations)
+    step = max(1, _BLOCK_PAIRS // lattice.n**2)
+    for start in range(0, len(firsts), step):
+        i, j = firsts[start : start + step], seconds[start : start + step]
+        images = pair_formula_images(lattice, table[:, i], table[:, j])
+        monotone = monotone and not (leq & ~lattice.leq[images[:, None], images[None, :]]).any()
+        bad = np.flatnonzero(~_is_space_function(lattice, images))
+        for k, violation in zip(bad, _first_violations(lattice, images[:, bad])):
+            violations.append((fs[i[k]], fs[j[k]], images[:, k].tolist(), violation))
+    return TupleFormulaSurvey(name, len(fs), len(firsts), monotone, violations)

@@ -1,12 +1,13 @@
 import random
 from functools import reduce
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import latspace as ls
-from latspace import selfcheck
+from latspace import distributed, selfcheck
 from latspace.distributed import pair_formula_images, subgroups
 from latspace.spaces import enumeration_size_estimate
 from latspace.errors import NotDistributive, TooLarge, UnknownAgent
@@ -94,6 +95,55 @@ def test_raw_pair_formula_matches_naive_everywhere(canonical):
             assert pair_formula_images(lat, f.images, g.images) == naive_pair_formula(
                 lat, f, g
             )
+
+
+def closure_system_lattice(rng, points):
+    """Random closure system on `points` points (the whole set, a few random
+    subsets and every intersection of them) ordered by inclusion."""
+    sets = {frozenset(range(points))}
+    for _ in range(rng.randint(2, 5)):
+        sets.add(frozenset(x for x in range(points) if rng.random() < 0.5))
+    while True:
+        meets = {a & b for a in sets for b in sets} - sets
+        if not meets:
+            break
+        sets |= meets
+    sets = sorted(sets, key=lambda x: (len(x), sorted(x)))
+    leq = np.array([[a <= b for b in sets] for a in sets])
+    return ls.FiniteLattice(["{" + ",".join(map(str, sorted(x))) + "}" for x in sets], leq)
+
+
+def test_batched_pair_formula_matches_naive_on_every_pair(canonical):
+    for name in ("M2", "M3", "N5", "chain3"):
+        lat = canonical[name]
+        fs = ls.enumerate_space_functions(lat)
+        pairs = [(f, g) for i, f in enumerate(fs) for g in fs[i:]]
+        table = np.array([f.images for f in fs], dtype=np.int32).T
+        firsts, seconds = np.triu_indices(len(fs))
+        images = pair_formula_images(lat, table[:, firsts], table[:, seconds])
+        assert images.shape == (lat.n, len(pairs))
+        for k, (f, g) in enumerate(pairs):
+            assert images[:, k].tolist() == naive_pair_formula(lat, f, g)
+
+
+def test_batched_pair_formula_matches_naive_on_closure_systems():
+    rng = random.Random(12)
+    lats = []
+    while len(lats) < 4:
+        lat = closure_system_lattice(rng, rng.randint(3, 4))
+        if not lat.is_distributive:
+            lats.append(lat)
+    for lat in lats:
+        fs = [ls.random_space_function(lat, rng) for _ in range(12)]
+        f_block = np.array([f.images for f in fs[:6]]).T
+        g_block = np.array([g.images for g in fs[6:]]).T
+        images = pair_formula_images(lat, f_block, g_block)
+        for k in range(6):
+            assert images[:, k].tolist() == naive_pair_formula(lat, fs[k], fs[6 + k])
+        # a block of one pair, and the 1-D call on the same pair
+        one = pair_formula_images(lat, f_block[:, :1], g_block[:, :1])
+        assert one.shape == (lat.n, 1) and one[:, 0].tolist() == images[:, 0].tolist()
+        assert pair_formula_images(lat, fs[0].images, fs[6].images) == images[:, 0].tolist()
 
 
 def test_delta_pair_raw_reports_verdict(m3):
@@ -496,6 +546,11 @@ def test_verify_gdc_agent_cap(m2):
 # -- the survey ------------------------------------------------------------------------
 
 
+def survey_entry(entry):
+    f, g, images, verdict = entry
+    return f.images, g.images, images, verdict
+
+
 def test_survey_finds_counterexamples_on_m3(m3):
     survey = ls.survey_tuple_formula(m3, "M3")
     assert survey.function_count == 50
@@ -506,6 +561,11 @@ def test_survey_finds_counterexamples_on_m3(m3):
     f, g, images, verdict = survey.violations[0]
     assert ls.validate_space_function(m3, images) == verdict
     assert "violates S.2" in survey.summary()
+    # frozen by the per-pair scan
+    assert survey_entry(survey.violations[0]) == (
+        (0, 1, 1, 1, 1), (0, 1, 2, 3, 4), [0, 1, 0, 0, 1], ls.AxiomViolation("S.2", (2, 3)))
+    assert survey_entry(survey.violations[-1]) == (
+        (0, 4, 3, 2, 4), (0, 4, 4, 1, 4), [0, 4, 3, 0, 4], ls.AxiomViolation("S.2", (2, 3)))
 
 
 def test_survey_finds_counterexamples_on_n5(n5):
@@ -513,6 +573,38 @@ def test_survey_finds_counterexamples_on_n5(n5):
     assert survey.monotone_everywhere
     assert survey.found_counterexample
     assert len(survey.violations) == 30  # frozen by the exhaustive scan
+    # frozen by the per-pair scan
+    assert survey_entry(survey.violations[0]) == (
+        (0, 1, 1, 2, 2), (0, 1, 1, 3, 4), [0, 1, 1, 0, 2], ls.AxiomViolation("S.2", (1, 3)))
+    assert survey_entry(survey.violations[-1]) == (
+        (0, 2, 4, 4, 4), (0, 3, 4, 1, 4), [0, 0, 2, 1, 2], ls.AxiomViolation("S.2", (1, 3)))
+
+
+def test_survey_is_the_same_in_blocks_of_seven_pairs(canonical, monkeypatch):
+    for name in ("M3", "N5"):
+        lat = canonical[name]
+        whole = ls.survey_tuple_formula(lat, name)
+        monkeypatch.setattr(distributed, "_BLOCK_PAIRS", 7 * lat.n**2)
+        assert whole.pair_count % 7  # the last block is partial
+        blocked = ls.survey_tuple_formula(lat, name)
+        monkeypatch.undo()
+        assert blocked == whole
+
+
+def test_survey_pair_count_is_capped_by_the_budget(m3, monkeypatch):
+    monkeypatch.setenv("LATSPACE_MAX_ENUM", "1274")
+    with pytest.raises(TooLarge, match="1275 pairs, cap is 1274"):
+        ls.survey_tuple_formula(m3, "M3")
+    monkeypatch.setenv("LATSPACE_MAX_ENUM", "1275")
+    assert ls.survey_tuple_formula(m3, "M3").pair_count == 1275
+
+
+def test_survey_refuses_herbrand_before_scanning(canonical, monkeypatch):
+    # 6,086 space functions: 18,522,741 pairs
+    monkeypatch.delenv("LATSPACE_MAX_ENUM", raising=False)
+    monkeypatch.setattr(distributed, "pair_formula_images", None)  # never reached
+    with pytest.raises(TooLarge, match="18522741 pairs, cap is 250000"):
+        ls.survey_tuple_formula(canonical["herbrand-xy-ab"], "herbrand-xy-ab")
 
 
 def test_survey_clean_on_distributive(m2):

@@ -77,6 +77,26 @@ def test_validation_matches_pair_scan(space_functions):
     assert checked == 3 * sum(map(len, functions.values()))
 
 
+def test_batched_witness_matches_validation_column_by_column(canonical):
+    rng = random.Random(8)
+    lats = [canonical[name] for name in ("M2", "M3", "N5", "chain3")]
+    lats += [stacked_lattice(2, shape) for shape in STACKS]
+    axioms = set()
+    for lat in lats:
+        maps = []
+        while len(maps) < 40:
+            images = [rng.randrange(lat.n) for _ in range(lat.n)]
+            if rng.random() < 0.5:
+                images[lat.bottom_id] = lat.bottom_id
+            if ls.validate_space_function(lat, images) is not None:
+                maps.append(images)
+        got = spaces._first_violations(lat, np.array(maps, dtype=np.int32).T)
+        assert got == [ls.validate_space_function(lat, images) for images in maps]
+        assert got == [pair_scan_violation(lat, images) for images in maps]
+        axioms.update(v.axiom for v in got)
+    assert axioms == {"S.1", "S.2"}
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_validation_matches_pair_scan_on_downset_lattices(seed):
@@ -275,6 +295,18 @@ def test_enumeration_order_matches_backtracking_reference(name):
         assert [f.images for f in ls.enumerate_space_functions(lat, below)] == reference
         joined = tuple(lat.join_of(column) for column in zip(*reference))
         assert ls.function_meet_oracle(lat, below or []).images == joined
+
+
+def test_enumeration_validates_no_member_again(m3, monkeypatch):
+    def refuse(lattice, images):
+        raise AssertionError("enumerate_space_functions validated a member again")
+
+    monkeypatch.setattr(spaces, "validate_space_function", refuse)
+    fs = ls.enumerate_space_functions(m3)
+    monkeypatch.undo()
+    assert fs == [ls.SpaceFunction(m3, f.images) for f in fs]
+    assert all(type(y) is int for f in fs for y in f.images)
+    assert sorted(f.images for f in fs) == sorted(brute_force_space_functions(m3))
 
 
 def test_enumeration_order_across_blocks(monkeypatch):
