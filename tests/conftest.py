@@ -8,7 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import latspace as ls  # noqa: E402
-from latspace import selfcheck  # noqa: E402
+from latspace import morphology, selfcheck  # noqa: E402
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -160,6 +160,22 @@ def backtracking_space_functions(lattice, below=None) -> list[tuple[int, ...]]:
 
     backtrack(0)
     return out
+
+
+def oplus_rhs_reference(x, a, b):
+    """Reference for morphology.oplus_law_rhs: for every subset y of x, by
+    size and then in combinations order, build the point sets y and x minus
+    y and intersect (y + a) union ((x minus y) + b) into the result."""
+    dim = morphology._same_dim(x, a, b)
+    pts = x.sorted_points()
+    acc = None
+    for r in range(len(pts) + 1):
+        for chosen in itertools.combinations(pts, r):
+            y = morphology.PointSet(dim, frozenset(chosen))
+            rest = morphology.PointSet(dim, x.points - y.points)
+            term = morphology.minkowski_sum(y, a).points | morphology.minkowski_sum(rest, b).points
+            acc = term if acc is None else acc & term
+    return morphology.PointSet(dim, acc)
 
 
 # Non-distributive shapes stacked above a powerset's top: (new labels, covers

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import oplus_rhs_reference
 from latspace import morphology as mo
 from latspace import selfcheck
 from latspace.errors import DimMismatch, EmptyStructuringElement, TooLarge
@@ -17,8 +18,8 @@ def vectors(dim, span=4):
     return st.tuples(*[st.integers(-span, span)] * dim)
 
 
-def point_sets(dim, max_size=5):
-    return st.frozensets(vectors(dim), max_size=max_size).map(
+def point_sets(dim, max_size=5, span=4):
+    return st.frozensets(vectors(dim, span), max_size=max_size).map(
         lambda pts: mo.PointSet(dim, pts)
     )
 
@@ -178,6 +179,68 @@ def test_oplus_rhs_cap():
     x = pset(1, list(range(25)))
     with pytest.raises(TooLarge):
         mo.oplus_law_rhs(x, pset(1, [0]), pset(1, [1]))
+
+
+def test_oplus_rhs_refuses_one_point_over_the_cap_before_any_work(monkeypatch):
+    x = pset(1, list(range(mo.MAX_OPLUS_POINTS + 1)))
+    a, b = pset(1, [0, 1]), pset(1, [1, 2])
+    with pytest.raises(DimMismatch):
+        mo.oplus_law_rhs(x, a, pset(2, [(0, 0)]))
+
+    def no_translates(u, v):
+        raise AssertionError("translated a point before the cap check")
+
+    monkeypatch.setattr(mo, "_add", no_translates)
+    with pytest.raises(TooLarge):
+        mo.oplus_law_rhs(x, a, b)
+
+
+def test_oplus_rhs_at_the_cap():
+    x = pset(1, [3 * i for i in range(mo.MAX_OPLUS_POINTS)])
+    a, b = pset(1, [0, 1, 2, 4]), pset(1, [1, 2, 3, 4])
+    assert mo.oplus_law_rhs(x, a, b) == mo.distributed_dilation(a, b, x)
+
+
+@pytest.mark.parametrize("x, a, b", [
+    ([], [0, 1], [1, 2]),
+    ([0, 2, 5], [], [1, 2]),
+    ([0, 2, 5], [0, 1], []),
+    ([], [], []),
+    ([0, 1, 4], [0, 1], [2, 3]),
+    ([2], [0], [1]),
+    ([-3, 0, 1, 4], [0, 2, 3], [0, 2, 3]),
+    ([-3, 0, 1, 4], [-1, 0, 2], [0, 2, 5]),
+])
+def test_oplus_rhs_edge_cases_match_reference(x, a, b):
+    x, a, b = pset(1, x), pset(1, a), pset(1, b)
+    assert mo.oplus_law_rhs(x, a, b) == oplus_rhs_reference(x, a, b)
+
+
+def test_oplus_rhs_seeded_suite_matches_reference():
+    rng = random.Random(216)
+    for dim in (1, 2, 3):
+        for trial in range(150):
+            x = selfcheck.random_pointset(rng, dim, (0, 9))
+            a = selfcheck.random_pointset(rng, dim, (0, 4))
+            b = selfcheck.random_pointset(rng, dim, (0, 4))
+            assert mo.oplus_law_rhs(x, a, b) == oplus_rhs_reference(x, a, b), f"dim {dim} trial {trial}"
+
+
+@st.composite
+def oplus_triples(draw):
+    # a window of side 5 keeps translates overlapping in three dimensions too
+    dim = draw(st.integers(1, 3))
+    x = draw(point_sets(dim, max_size=9, span=2))
+    a = draw(point_sets(dim, max_size=4, span=2))
+    b = draw(st.one_of(st.just(a), point_sets(dim, max_size=4, span=2)))
+    return x, a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(triple=oplus_triples())
+def test_oplus_rhs_matches_reference(triple):
+    x, a, b = triple
+    assert mo.oplus_law_rhs(x, a, b) == oplus_rhs_reference(x, a, b)
 
 
 def test_intersection_law_seeded_suite():
