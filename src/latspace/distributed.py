@@ -1,16 +1,19 @@
 """Distributed spaces: greatest space functions below a group's agents.
 
 The production route works on distributive lattices, where every
-join-irreducible j is join-prime (Birkhoff): the meet of two space
-functions is fixed by its values on the irreducibles J, so
-delta(c) = join of f(j) meet g(j) over the j in J below c, at O(|J| n)
-per pair.  The subtraction recursion computes the same value as a
-vectorised meet reduction.  The raw pair formula (meet over all
-information combinations deriving each element), the direct tuple scan
-and the enumeration oracle (exact on every finite lattice) are kept as
-cross-checks.  The survey of the raw pair formula on non-distributive
-lattices evaluates it on blocks of function pairs, one batched call per
-block.  Group and join projections are the adjoint side.
+join-irreducible j is join-prime (Birkhoff): the meet of space functions
+is fixed by its values on the irreducibles J, so
+delta(c) = join of the f(j) meets over the j in J below c.  A group takes
+one point-wise meet on J and one extension by joins, at O(|J| n), and one
+validation.  The subtraction recursion computes the same value as a
+vectorised meet reduction over the lattice's cached runs of pairs
+a below c, folded pairwise on raw image arrays and validated once.  The
+raw pair formula (meet over all information combinations deriving each
+element), the direct tuple scan and the enumeration oracle (exact on
+every finite lattice) are kept as cross-checks.  The survey of the raw
+pair formula on non-distributive lattices evaluates it on blocks of
+function pairs, one batched call per block.  Group and join projections
+are the adjoint side.
 """
 
 from __future__ import annotations
@@ -107,10 +110,21 @@ def delta_pair(lattice: FiniteLattice, f: SpaceFunction, g: SpaceFunction) -> Sp
     Every join-irreducible j is join-prime, so the meet is the extension by
     joins of j -> f(j) meet g(j).
     """
+    return _meet_on_irreducibles(lattice, [f, g])
+
+
+def _meet_on_irreducibles(lattice: FiniteLattice, fs) -> SpaceFunction:
+    """Meet of space functions on a distributive lattice: the extension by
+    joins of the point-wise meet of their images on J, one extension and
+    one validation for any number of functions."""
     _require_distributive(lattice)
     mt = lattice.meet_table
-    images = lattice.extend([mt[f.images[j], g.images[j]] for j in lattice.irreducibles])
-    return SpaceFunction(lattice, images)
+    values = reduce(
+        lambda acc, f: mt[acc, [f.images[j] for j in lattice.irreducibles]],
+        fs,
+        lattice.top_id,
+    )
+    return SpaceFunction(lattice, lattice.extend(values))
 
 
 def delta_pair_subtract(
@@ -119,15 +133,19 @@ def delta_pair_subtract(
     """Same function as delta_pair, through the subtraction recursion:
     for each c, the meet of f(a) join g(c minus a) over a below c.
 
-    The pairs a below c come in runs by c, each holding a = c.
+    One step over the lattice's cached run layout (subtract_runs): the
+    pairs a below c in runs by c, each run meet-reduced.
     """
     _require_distributive(lattice)
-    cs, a = np.nonzero(lattice.leq.T)
-    fi = np.asarray(f.images, dtype=np.int32)
-    gi = np.asarray(g.images, dtype=np.int32)
-    values = lattice.join_table[fi[a], gi[lattice.subtract_table[cs, a]]]
-    images = lattice.run_meets(values, np.searchsorted(cs, np.arange(lattice.n)))
-    return SpaceFunction(lattice, images)
+    return SpaceFunction(lattice, _subtract_step(lattice, f.images, g.images))
+
+
+def _subtract_step(lattice: FiniteLattice, f_images, g_images) -> np.ndarray:
+    """Images of the subtraction recursion on two image sequences, as an
+    unvalidated int32 array."""
+    a, rest, starts = lattice.subtract_runs
+    fi, gi = np.asarray(f_images), np.asarray(g_images)
+    return lattice.run_meets(lattice.join_table[fi[a], gi[rest]], starts)
 
 
 def delta_tuples_direct(scs: Scs, group, c: int) -> int:
@@ -176,8 +194,9 @@ def subgroups(scs: Scs) -> list[tuple[str, ...]]:
 class DeltaFamily:
     """Write-once cache of distributed spaces, keyed by agent-name set.
 
-    A group of two or more takes one pair step from its cached prefix in
-    sorted name order: the same left fold delta_group runs, bit for bit.
+    A group of two or more takes one delta_pair step from its cached
+    prefix in sorted name order.  delta_group meets the whole group on J
+    at once instead; the two agree because the meet is unique.
     """
 
     scs: Scs
@@ -198,9 +217,11 @@ def delta_group(scs: Scs, group, method: str = "tuple") -> SpaceFunction:
     """Distributed space of a group of agents.
 
     The empty group gets the least space; a singleton gets the agent's own
-    function; larger groups left-fold the pairwise meet over the agents in
-    canonical (sorted) name order, which is sound because the meet is
-    associative and commutative in the function lattice.
+    function.  For larger groups, "tuple" meets every member's images on
+    J at once and extends the result by joins; "subtract" left-folds the
+    subtraction step over the agents in canonical (sorted) name order on
+    raw image arrays, which is sound because the meet is associative and
+    commutative in the function lattice.  Only the result is validated.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -208,16 +229,16 @@ def delta_group(scs: Scs, group, method: str = "tuple") -> SpaceFunction:
     lattice = scs.lattice
     if not names:
         return top_function(lattice)
-    if len(names) == 1:
-        return scs.agent(names[0])
+    fs = [scs.agent(x) for x in names]
+    if len(fs) == 1:
+        return fs[0]
     if method == "oracle":
-        return function_meet_oracle(lattice, [scs.agent(x) for x in names])
-    step = delta_pair if method == "tuple" else delta_pair_subtract
-    return reduce(
-        lambda acc, name: step(lattice, acc, scs.agent(name)),
-        names[1:],
-        scs.agent(names[0]),
-    )
+        return function_meet_oracle(lattice, fs)
+    if method == "tuple":
+        return _meet_on_irreducibles(lattice, fs)
+    _require_distributive(lattice)
+    images = reduce(lambda acc, f: _subtract_step(lattice, acc, f.images), fs[1:], fs[0].images)
+    return SpaceFunction(lattice, images)
 
 
 # -- projections ----------------------------------------------------------------

@@ -103,11 +103,14 @@ class FiniteLattice:
         self.join_table = self._bound_table(leq, above32, levels, "least upper")
         self.meet_table = self._bound_table(leq.T, below32, levels[::-1], "greatest lower")
         # with all bounds, the finite order has a least and a greatest element
+        down_sizes = leq.sum(axis=0)
+        down_sizes.flags.writeable = False
         self.bottom_id = int(np.argmax(leq.sum(axis=1)))
-        self.top_id = int(np.argmax(leq.sum(axis=0)))
+        self.top_id = int(np.argmax(down_sizes))
 
         self._caches: dict[str, object] = {
             "cover": cover,
+            "down_sizes": down_sizes,
             "irreducibles": tuple(int(j) for j in join_irr),
         }
 
@@ -205,6 +208,13 @@ class FiniteLattice:
     def cover(self) -> np.ndarray:
         """cover[a, b] iff b covers a (a strictly below b, nothing between)."""
         return self._caches["cover"]
+
+    @property
+    def down_sizes(self) -> np.ndarray:
+        """down_sizes[x] counts the elements below x.  It grows strictly
+        along the order, so a set that holds the join of its members names
+        that join as its member of largest down-set."""
+        return self._caches["down_sizes"]
 
     @property
     def irreducibles(self) -> tuple[int, ...]:
@@ -365,6 +375,23 @@ class FiniteLattice:
             return table
 
         return self._cached("subtract_table", make)
+
+    @property
+    def subtract_runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(a, c minus a, starts) over the pairs a below c, in runs by c in
+        id order, each run in ascending a and holding a = c; starts[c] is
+        where the run of c begins.  Built on first use, from the
+        subtraction table, so only distributive lattices have it."""
+
+        def make():
+            cs, a = np.nonzero(np.ascontiguousarray(self.leq.T))
+            rest = self.subtract_table[cs, a]
+            starts = np.searchsorted(cs, np.arange(self.n))
+            for array in (a, rest, starts):
+                array.flags.writeable = False
+            return a, rest, starts
+
+        return self._cached("subtract_runs", make)
 
     # -- derived lattices ------------------------------------------------------
 

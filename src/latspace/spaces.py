@@ -364,12 +364,15 @@ def random_space_function(lattice: FiniteLattice, rng) -> SpaceFunction:
 def agent_projection(f: SpaceFunction, c: int) -> int:
     """Join of every element whose image under f is derivable from c.
 
-    The adjoint of f: extracts all information f's agent holds in c.
+    The adjoint of f: extracts all information f's agent holds in c.  The
+    derivable set holds bottom and is closed under joins, as f preserves
+    them, so it holds its own join, above every other member: the member
+    with the most elements below it.  This holds on every finite lattice.
     """
     lattice = f.lattice
     c = lattice.check_id(c)
-    derivable = np.nonzero(lattice.leq[f.images, c])[0]
-    return lattice.join_of(derivable)
+    derivable = lattice.leq[f.images, c]
+    return int(np.argmax(np.where(derivable, lattice.down_sizes, -1)))
 
 
 # -- agent systems -------------------------------------------------------------

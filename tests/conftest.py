@@ -82,6 +82,30 @@ def pair_scan_violation(lattice, images):
     return None
 
 
+def agent_projection_reference(f, c):
+    """Reference for spaces.agent_projection: the join, by join_of, of
+    every element whose image under f lies below c."""
+    lattice = f.lattice
+    derivable = np.nonzero(lattice.leq[f.images, lattice.check_id(c)])[0]
+    return lattice.join_of(derivable)
+
+
+def closure_system_lattice(rng, points):
+    """Random closure system on `points` points (the whole set, a few random
+    subsets and every intersection of them) ordered by inclusion."""
+    sets = {frozenset(range(points))}
+    for _ in range(rng.randint(2, 5)):
+        sets.add(frozenset(x for x in range(points) if rng.random() < 0.5))
+    while True:
+        meets = {a & b for a in sets for b in sets} - sets
+        if not meets:
+            break
+        sets |= meets
+    sets = sorted(sets, key=lambda x: (len(x), sorted(x)))
+    leq = np.array([[a <= b for b in sets] for a in sets])
+    return ls.FiniteLattice(["{" + ",".join(map(str, sorted(x))) + "}" for x in sets], leq)
+
+
 def bound_table_reference(labels, above, kind):
     """Reference for the join table (the meet table from the transposed
     relation): for each pair (a, b), a <= b in row-major order, look up the

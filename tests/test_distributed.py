@@ -7,12 +7,12 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import latspace as ls
-from latspace import distributed, selfcheck
+from latspace import distributed, selfcheck, spaces
 from latspace.distributed import pair_formula_images, subgroups
 from latspace.spaces import enumeration_size_estimate
 from latspace.errors import NotDistributive, TooLarge, UnknownAgent
 
-from conftest import STACKS, stacked_lattice
+from conftest import STACKS, agent_projection_reference, closure_system_lattice, stacked_lattice
 
 
 def naive_pair_formula(lat, f, g):
@@ -95,22 +95,6 @@ def test_raw_pair_formula_matches_naive_everywhere(canonical):
             assert pair_formula_images(lat, f.images, g.images) == naive_pair_formula(
                 lat, f, g
             )
-
-
-def closure_system_lattice(rng, points):
-    """Random closure system on `points` points (the whole set, a few random
-    subsets and every intersection of them) ordered by inclusion."""
-    sets = {frozenset(range(points))}
-    for _ in range(rng.randint(2, 5)):
-        sets.add(frozenset(x for x in range(points) if rng.random() < 0.5))
-    while True:
-        meets = {a & b for a in sets for b in sets} - sets
-        if not meets:
-            break
-        sets |= meets
-    sets = sorted(sets, key=lambda x: (len(x), sorted(x)))
-    leq = np.array([[a <= b for b in sets] for a in sets])
-    return ls.FiniteLattice(["{" + ",".join(map(str, sorted(x))) + "}" for x in sets], leq)
 
 
 def test_batched_pair_formula_matches_naive_on_every_pair(canonical):
@@ -344,6 +328,52 @@ def test_meet_reductions_match_references_past_one_word(shape, size):
         assert pair_formula_images(lat, f.images, g.images) == naive_pair_formula(lat, f, g)
 
 
+def fold_lattices():
+    """Distributive lattices for the group fold: every one of at most 16
+    elements is also checked against the oracle."""
+    rng = random.Random(41)
+    lats = [ls.random_distributive_lattice(rng, points=4) for _ in range(4)]
+    lats += [ls.powerset_lattice(["a", "b", "c", "d"]), ls.chain_lattice(5), ls.fixtures()["M2"]]
+    return lats + [ls.powerset_lattice([f"g{i}" for i in range(6)]),
+                   ls.random_distributive_lattice(rng, points=7)]
+
+
+@pytest.mark.parametrize("agents", range(2, 6))
+def test_delta_group_equals_the_left_fold_of_pair_steps(agents):
+    rng = random.Random(agents)
+    for lat in fold_lattices():
+        scs = selfcheck.random_scs(lat, rng, agents)
+        fs = [scs.agent(x) for x in sorted(scs.agents)]
+        by_tuple = ls.delta_group(scs, scs.agents, "tuple")
+        by_subtract = ls.delta_group(scs, scs.agents, "subtract")
+        assert by_tuple.images == reduce(lambda f, g: ls.delta_pair(lat, f, g), fs).images
+        assert by_subtract.images == reduce(
+            lambda f, g: ls.delta_pair_subtract(lat, f, g), fs
+        ).images
+        assert by_subtract.images == by_tuple.images
+        if lat.n <= 16:
+            assert ls.function_meet_oracle(lat, fs).images == by_tuple.images
+
+
+@pytest.mark.parametrize("method", ["tuple", "subtract"])
+def test_delta_group_validates_once_per_call(monkeypatch, method):
+    lat = ls.powerset_lattice(["a", "b", "c", "d"])
+    scs = selfcheck.random_scs(lat, random.Random(5), 5)
+    calls = []
+    validate = spaces.validate_space_function
+
+    def spy(lattice, images):
+        calls.append(lattice)
+        return validate(lattice, images)
+
+    for module in (spaces, distributed):
+        monkeypatch.setattr(module, "validate_space_function", spy)
+    for size in range(2, 6):
+        calls.clear()
+        ls.delta_group(scs, sorted(scs.agents)[:size], method)
+        assert calls == [lat]
+
+
 def assert_fold_refuses(lat):
     rng = random.Random(11)
     f, g = ls.random_space_function(lat, rng), ls.random_space_function(lat, rng)
@@ -406,6 +436,21 @@ def test_group_galois_exhaustive(m2_scs):
     rng = random.Random(31)
     ps3 = ls.powerset_lattice(["a", "b", "c"])
     selfcheck.group_adjunction([m2_scs, selfcheck.random_scs(ps3, rng, 2)])
+
+
+def test_group_adjunction_on_a_512_element_powerset():
+    lat = ls.powerset_lattice([f"g{i}" for i in range(9)])
+    rng = random.Random(37)
+    scs = selfcheck.random_scs(lat, rng, 4)
+    points = [lat.bottom_id, lat.top_id] + [rng.randrange(lat.n) for _ in range(4)]
+    for group in subgroups(scs):
+        delta = ls.delta_group(scs, group)
+        images = np.asarray(delta.images)
+        for c in points:
+            proj = ls.group_projection(scs, group, c)
+            assert proj == agent_projection_reference(delta, c)
+            assert (lat.leq[images, c] == lat.leq[:, proj]).all()
+            assert lat.leq[ls.join_projection(scs, group, c), proj]
 
 
 # -- compositionality ---------------------------------------------------------------

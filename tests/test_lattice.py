@@ -468,6 +468,30 @@ def test_subtract_table_matches_pointwise(canonical):
         assert_subtract_table_matches_pointwise(lat)
 
 
+def test_subtract_runs_are_cached_read_only_runs_of_the_down_sets(canonical):
+    lats = [canonical["M2"], canonical["chain3"], ls.powerset_lattice(["a", "b", "c"]),
+            ls.random_distributive_lattice(random.Random(3), points=5)]
+    for lat in lats:
+        runs = lat.subtract_runs
+        assert lat.subtract_runs is runs
+        a, rest, starts = runs
+        for array in runs:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+        ends = [*starts[1:], len(a)]
+        for c in range(lat.n):
+            run = a[starts[c] : ends[c]].tolist()
+            assert run == lat.down_ids(c) and c in run
+            assert rest[starts[c] : ends[c]].tolist() == [lat.subtract(c, x) for x in run]
+
+
+@pytest.mark.parametrize("name", ["M3", "N5"])
+def test_subtract_runs_refuse_nondistributive(canonical, name):
+    with pytest.raises(NotDistributive):
+        canonical[name].subtract_runs
+
+
 def test_subtract_defined_on_nondistributive(m3):
     # value exists on every lattice even where the residual laws fail
     for d in range(m3.n):

@@ -19,8 +19,10 @@ from latspace.errors import (
 from latspace.spaces import DEFAULT_MAX_ENUM, enum_budget, enumeration_size_estimate
 from conftest import (
     STACKS,
+    agent_projection_reference,
     backtracking_space_functions,
     brute_force_space_functions,
+    closure_system_lattice,
     pair_scan_violation,
     stacked_lattice,
 )
@@ -390,6 +392,43 @@ def test_projection_values_on_m2(m2_scs):
     assert ls.agent_projection(m2_scs.agent("2"), p) == m2.bottom_id
     for f in m2_scs.agents.values():
         assert ls.agent_projection(f, m2.top_id) == m2.top_id
+
+
+def assert_projections_match_reference(f):
+    for c in range(f.lattice.n):
+        assert ls.agent_projection(f, c) == agent_projection_reference(f, c)
+
+
+@pytest.mark.parametrize("name", ["M2", "M3", "N5", "herbrand-xy-ab", "chain3"])
+def test_projection_matches_reference_on_every_space_function(space_functions, name):
+    for f in space_functions[name]:
+        assert_projections_match_reference(f)
+
+
+def test_projection_matches_reference_on_the_extreme_spaces(canonical):
+    for lat in canonical.values():
+        for f in (ls.top_function(lat), ls.bottom_function(lat), ls.identity_function(lat)):
+            assert_projections_match_reference(f)
+
+
+def test_projection_matches_reference_on_closure_systems():
+    # eight lattices that are not distributive and two that are, each also
+    # reversed, so that the ids do not always grow along the order
+    rng = random.Random(23)
+    wanted = {False: 8, True: 2}
+    while any(wanted.values()):
+        lat = closure_system_lattice(rng, rng.randint(3, 5))
+        if wanted[lat.is_distributive]:
+            wanted[lat.is_distributive] -= 1
+            for each in (lat, lat.dual()):
+                for _ in range(4):
+                    assert_projections_match_reference(ls.random_space_function(each, rng))
+
+
+def test_down_sizes_count_the_elements_below(canonical):
+    for lat in canonical.values():
+        assert lat.down_sizes.tolist() == [len(lat.down_ids(x)) for x in range(lat.n)]
+        assert not lat.down_sizes.flags.writeable
 
 
 # -- agent systems ------------------------------------------------------------------
