@@ -25,10 +25,11 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import NotDistributive, TooLarge
+from .errors import LatticeMismatch, NotDistributive, TooLarge
 from .lattice import _BLOCK_PAIRS, FiniteLattice
 from .spaces import (
     _first_violations,
+    _irreducible_meet,
     _is_space_function,
     AxiomViolation,
     Scs,
@@ -118,13 +119,7 @@ def _meet_on_irreducibles(lattice: FiniteLattice, fs) -> SpaceFunction:
     joins of the point-wise meet of their images on J, one extension and
     one validation for any number of functions."""
     _require_distributive(lattice)
-    mt = lattice.meet_table
-    values = reduce(
-        lambda acc, f: mt[acc, [f.images[j] for j in lattice.irreducibles]],
-        fs,
-        lattice.top_id,
-    )
-    return SpaceFunction(lattice, lattice.extend(values))
+    return SpaceFunction(lattice, lattice.extend(_irreducible_meet(lattice, fs)))
 
 
 def delta_pair_subtract(
@@ -192,12 +187,7 @@ def subgroups(scs: Scs) -> list[tuple[str, ...]]:
 
 @dataclass
 class DeltaFamily:
-    """Write-once cache of distributed spaces, keyed by agent-name set.
-
-    A group of two or more takes one delta_pair step from its cached
-    prefix in sorted name order.  delta_group meets the whole group on J
-    at once instead; the two agree because the meet is unique.
-    """
+    """Write-once cache of delta_group, keyed by agent-name set."""
 
     scs: Scs
     cache: dict[frozenset, SpaceFunction] = field(default_factory=dict)
@@ -206,10 +196,7 @@ class DeltaFamily:
         names = self.scs.group(group)
         key = frozenset(names)
         if key not in self.cache:
-            self.cache[key] = (
-                delta_group(self.scs, names) if len(names) < 2
-                else delta_pair(self.scs.lattice, self.get(names[:-1]), self.scs.agent(names[-1]))
-            )
+            self.cache[key] = delta_group(self.scs, names)
         return self.cache[key]
 
 
@@ -276,16 +263,23 @@ def verify_gdc(scs: Scs, family: Mapping | DeltaFamily) -> GdcReport:
     """Check the distribution-candidate axioms on a family of functions.
 
     D.1 each member is a space function; D.2 singleton members equal the
-    agent functions; D.3 members shrink as groups grow.  Once these hold,
-    each member is compared against the enumeration oracle for
-    maximality; an oracle over its budget raises TooLarge.  Expects a
-    family entry for every subset of the agents.
+    agent functions; D.3 members shrink as groups grow, checked on the
+    m 2^(m-1) pairs where the larger group adds one agent, which give
+    every nested pair by transitivity.  Once these hold, each member is
+    compared against the enumeration oracle for maximality; an oracle
+    over its budget raises TooLarge.  Expects a family entry for every
+    subset of the agents, as a SpaceFunction on the system's lattice
+    (else LatticeMismatch) or as raw images.
     """
     if len(scs.agents) > MAX_GDC_AGENTS:
         raise TooLarge(f"{len(scs.agents)} agents exceeds the cap of {MAX_GDC_AGENTS}")
-    cache = family.cache if isinstance(family, DeltaFamily) else dict(family)
-    entries = {frozenset(k): getattr(v, "images", v) for k, v in cache.items()}
     lattice = scs.lattice
+    cache = family.cache if isinstance(family, DeltaFamily) else dict(family)
+    entries = {}
+    for key, entry in cache.items():
+        if isinstance(entry, SpaceFunction) and entry.lattice is not lattice:
+            raise LatticeMismatch(f"family entry for {sorted(key)} lives on another lattice")
+        entries[frozenset(key)] = getattr(entry, "images", entry)
 
     subsets = [frozenset(g) for g in subgroups(scs)]
     missing = [s for s in subsets if s not in entries]
@@ -302,11 +296,12 @@ def verify_gdc(scs: Scs, family: Mapping | DeltaFamily) -> GdcReport:
     for name in sorted(scs.agents):
         if not np.array_equal(entries[frozenset([name])], scs.agent(name).images):
             return failed(f"D.2 fails: entry for [{name!r}] is not the agent function")
-    for small, large in itertools.combinations(subsets, 2):
-        if small <= large and not lattice.leq[entries[large], entries[small]].all():
-            return failed(
-                f"D.3 fails: entry for {sorted(large)} is not below entry for {sorted(small)}"
-            )
+    for small in subsets:
+        for large in (small | {name} for name in sorted(scs.agents.keys() - small)):
+            if not lattice.leq[entries[large], entries[small]].all():
+                return failed(
+                    f"D.3 fails: entry for {sorted(large)} is not below entry for {sorted(small)}"
+                )
     for key in subsets:
         exact = function_meet_oracle(lattice, [scs.agent(i) for i in sorted(key)])
         if not np.array_equal(entries[key], exact.images):

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .distributed import DeltaFamily
+from .distributed import delta_group
 from .errors import InvalidElement, TooLarge, UnknownAgent, UnknownProp
 from .errors import json_list, json_object, json_pairs, read_json
 from .lattice import MAX_ELEMENTS, FiniteLattice, powerset_order
@@ -286,10 +286,6 @@ class KripkeScs:
     models: tuple[KripkeModel, ...]
     pointed: tuple
     scs: Scs
-    _family: DeltaFamily = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._family = DeltaFamily(self.scs)
 
     @property
     def lattice(self) -> FiniteLattice:
@@ -313,7 +309,7 @@ class KripkeScs:
         return frozenset(p for k, p in enumerate(self.pointed) if element >> k & 1)
 
     def delta(self, group) -> SpaceFunction:
-        return self._family.get(group)
+        return delta_group(self.scs, group)
 
     def evaluate(self, formula: Formula) -> int:
         """Interpret a modal formula as the mask of its satisfying points."""

@@ -239,13 +239,18 @@ def _irreducible_order(lattice: FiniteLattice) -> tuple[np.ndarray, np.ndarray]:
     return np.argsort(below.sum(axis=0), kind="stable"), below
 
 
+def _irreducible_meet(lattice: FiniteLattice, fs) -> np.ndarray:
+    """Point-wise meet of the functions' images on the irreducibles, in
+    the order of lattice.irreducibles; top at each when there are none."""
+    mt = lattice.meet_table
+    return reduce(lambda acc, f: mt[acc, [f.images[j] for j in lattice.irreducibles]],
+                  fs or (), np.full(len(lattice.irreducibles), lattice.top_id))
+
+
 def _allowed_images(lattice: FiniteLattice, below) -> list[np.ndarray]:
     """For each irreducible j, the ids below the meet of the bounds' images
     at j; every id when there are no bounds."""
-    bounds = np.full(len(lattice.irreducibles), lattice.top_id)
-    for f in below or ():
-        bounds = lattice.meet_table[bounds, [f.images[j] for j in lattice.irreducibles]]
-    return [np.flatnonzero(lattice.leq[:, b]) for b in bounds]
+    return [np.flatnonzero(lattice.leq[:, b]) for b in _irreducible_meet(lattice, below)]
 
 
 def enumeration_size_estimate(

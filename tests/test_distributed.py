@@ -10,7 +10,7 @@ import latspace as ls
 from latspace import distributed, selfcheck, spaces
 from latspace.distributed import pair_formula_images, subgroups
 from latspace.spaces import enumeration_size_estimate
-from latspace.errors import NotDistributive, TooLarge, UnknownAgent
+from latspace.errors import LatticeMismatch, NotDistributive, TooLarge, UnknownAgent
 
 from conftest import STACKS, agent_projection_reference, closure_system_lattice, stacked_lattice
 
@@ -546,6 +546,32 @@ def test_verify_gdc_flags_d3_violation(m2_scs):
     assert not report.ok
     assert any("D.3" in f for f in report.failures)
     assert len(report.failures) == 1
+
+
+def test_verify_gdc_checks_d3_on_one_agent_steps():
+    rng = random.Random(53)
+    scs = selfcheck.random_scs(ls.random_distributive_lattice(rng), rng, 3)
+    entries = dict(_family_over(scs).cache)
+    full = frozenset(scs.agents)
+    entries[full] = ls.top_function(scs.lattice)
+    report = ls.verify_gdc(scs, entries)
+    steps = {f"D.3 fails: entry for {sorted(full)} is not below entry for {sorted(full - {x})}"
+             for x in full}
+    assert not report.ok and report.failures[0] in steps and len(report.failures) == 1
+
+
+def test_verify_gdc_refuses_entries_on_another_lattice(m2_scs):
+    # the right images on a separately built M2, and a space function on a 4-chain
+    entries = dict(_family_over(m2_scs).cache)
+    full = frozenset(["1", "2"])
+    twin = ls.fixtures()["M2"]
+    assert twin is not m2_scs.lattice
+    for foreign in (ls.SpaceFunction(twin, entries[full].images),
+                    ls.identity_function(ls.chain_lattice(4))):
+        with pytest.raises(LatticeMismatch):
+            ls.verify_gdc(m2_scs, {**entries, full: foreign})
+    raw = {key: f.images for key, f in entries.items()}
+    assert ls.verify_gdc(m2_scs, raw).ok
 
 
 def test_verify_gdc_flags_d1_violation(m2_scs):
