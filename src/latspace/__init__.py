@@ -53,7 +53,6 @@ from .distributed import (
     DeltaFamily,
     delta_group,
     delta_pair,
-    delta_pair_raw,
     delta_pair_subtract,
     delta_tuples_direct,
     group_projection,

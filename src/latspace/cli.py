@@ -84,7 +84,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_kripke(args) -> int:
-    models = epistemic.load_kripke_models(args.model)
+    models = [epistemic.KripkeModel.load(p) for p in args.model]
     ks = epistemic.kripke_to_scs(models)
     formula = epistemic.parse_formula(args.formula)
     element = ks.evaluate(formula)

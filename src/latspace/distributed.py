@@ -93,18 +93,6 @@ def _offset_runs(starts: np.ndarray, size: int, batch: int) -> np.ndarray:
     return (np.arange(batch)[:, None] * size + starts).ravel()
 
 
-def delta_pair_raw(
-    lattice: FiniteLattice, f: SpaceFunction, g: SpaceFunction
-) -> tuple[list[int], AxiomViolation | None]:
-    """Research entry point: pair formula on an arbitrary lattice.
-
-    Returns the raw images together with the validation verdict (None
-    when the result happens to satisfy the space axioms).
-    """
-    images = pair_formula_images(lattice, f.images, g.images)
-    return images, validate_space_function(lattice, images)
-
-
 def delta_pair(lattice: FiniteLattice, f: SpaceFunction, g: SpaceFunction) -> SpaceFunction:
     """Meet of two space functions in the function lattice (distributive case).
 

@@ -15,7 +15,6 @@ independent references for the selfcheck catalogue.
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -239,15 +238,8 @@ def pointed_states(models: Sequence[KripkeModel]) -> list[PointedState]:
 def kripke_box(
     models: Sequence[KripkeModel], agent: str, x: frozenset[PointedState]
 ) -> frozenset[PointedState]:
-    """States whose every agent-accessible successor lies in x."""
-    if agent not in _model_agents(models):
-        raise UnknownAgent(f"unknown agent {agent!r}")
-    out = []
-    for i, m in enumerate(models):
-        for s in m.states:
-            if all((i, t) in x for t in m.successors(agent, s)):
-                out.append((i, s))
-    return frozenset(out)
+    """The one-agent kripke_dk: states whose agent-successors all lie in x."""
+    return kripke_dk(models, [agent], x)
 
 
 def kripke_dk(
@@ -452,8 +444,8 @@ class AumannStructure:
 
 
 def aumann_know(a: AumannStructure, agent: str, event: frozenset[str]) -> frozenset[str]:
-    """States whose whole information block lies inside the event."""
-    return frozenset(s for s in a.states if a.block_of(agent, s) <= event)
+    """The one-agent aumann_dk: states whose block lies inside the event."""
+    return aumann_dk(a, [agent], event)
 
 
 def aumann_dk(a: AumannStructure, group, event: frozenset[str]) -> frozenset[str]:
@@ -483,7 +475,3 @@ def aumann_to_scs(a: AumannStructure) -> KripkeScs:
     }
     induced = _induce((KripkeModel(a.states, (), {}, relations),))
     return KripkeScs(induced.models, a.states, induced.scs)
-
-
-def load_kripke_models(paths: Sequence[str]) -> list[KripkeModel]:
-    return [KripkeModel.load(os.fspath(p)) for p in paths]

@@ -54,6 +54,10 @@ class FiniteLattice:
         leq: read-only boolean matrix, leq[a, b] iff a is below b.
         join_table, meet_table: int matrices of pairwise lubs/glbs.
         bottom_id, top_id: ids of the least and greatest elements.
+        cover: read-only boolean matrix, cover[a, b] iff b covers a.
+        down_sizes: read-only, down_sizes[x] counts the elements below x; it
+            grows strictly along the order, so a set that holds the join of
+            its members names that join as its member of largest down-set.
     """
 
     def __init__(self, labels, leq):
@@ -95,24 +99,19 @@ class FiniteLattice:
         self.n = n
         self._label_to_id = {lab: i for i, lab in enumerate(labels)}
 
-        cover = interval == 2  # b covers a iff the interval [a, b] is {a, b}
-        cover.flags.writeable = False
-        join_irr = np.flatnonzero(cover.sum(axis=0) == 1)  # one lower cover
+        self.cover = interval == 2  # b covers a iff the interval [a, b] is {a, b}
+        self.cover.flags.writeable = False
+        self._irreducibles = tuple(int(j) for j in np.flatnonzero(self.cover.sum(axis=0) == 1))
         below32 = np.ascontiguousarray(above32.T)  # rows are down-sets
         levels = _levels(below32)
         self.join_table = self._bound_table(leq, above32, levels, "least upper")
         self.meet_table = self._bound_table(leq.T, below32, levels[::-1], "greatest lower")
         # with all bounds, the finite order has a least and a greatest element
-        down_sizes = leq.sum(axis=0)
-        down_sizes.flags.writeable = False
+        self.down_sizes = leq.sum(axis=0)
+        self.down_sizes.flags.writeable = False
         self.bottom_id = int(np.argmax(leq.sum(axis=1)))
-        self.top_id = int(np.argmax(down_sizes))
-
-        self._caches: dict[str, object] = {
-            "cover": cover,
-            "down_sizes": down_sizes,
-            "irreducibles": tuple(int(j) for j in join_irr),
-        }
+        self.top_id = int(np.argmax(self.down_sizes))
+        self._caches: dict[str, object] = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -205,22 +204,10 @@ class FiniteLattice:
         return self._caches[key]
 
     @property
-    def cover(self) -> np.ndarray:
-        """cover[a, b] iff b covers a (a strictly below b, nothing between)."""
-        return self._caches["cover"]
-
-    @property
-    def down_sizes(self) -> np.ndarray:
-        """down_sizes[x] counts the elements below x.  It grows strictly
-        along the order, so a set that holds the join of its members names
-        that join as its member of largest down-set."""
-        return self._caches["down_sizes"]
-
-    @property
     def irreducibles(self) -> tuple[int, ...]:
         """Join-irreducible elements, in id order: in a finite lattice these
         are exactly the elements with one lower cover."""
-        return self._caches["irreducibles"]
+        return self._irreducibles
 
     @property
     def irreducible_columns(self) -> tuple[np.ndarray, np.ndarray]:

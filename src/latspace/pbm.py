@@ -15,10 +15,16 @@ import numpy as np
 from .errors import FormatError, TooLarge
 from .morphology import PointSet
 
-# Largest raster format_pbm writes.  It fills the whole grid, and an origin
-# far from the points widens the grid without bound.  2^20 pixels take
-# about 0.01 s and 2 MB of grid in any shape (see README).
+# Largest raster read or written.  format_pbm fills the whole grid, and an
+# origin far from the points widens the grid without bound.  A raster read
+# is refused from its header, as morph's output canvas contains its image's.
+# 2^20 pixels take about 0.01 s and 2 MB of grid in any shape (see README).
 MAX_PIXELS = 1 << 20
+
+
+def _check_pixels(width: int, height: int) -> None:
+    if width * height > MAX_PIXELS:
+        raise TooLarge(f"{width}x{height} raster exceeds the cap of {MAX_PIXELS} pixels")
 
 
 def _tokenize(text: str):
@@ -54,11 +60,12 @@ def parse_pbm_with_canvas(
         raise FormatError("expected a plain PBM file (magic P1)")
     try:
         width, height = int(tokens[1]), int(tokens[2])
-        bits = "".join(tokens[3:])
     except (IndexError, ValueError) as exc:
         raise FormatError(f"malformed PBM header: {exc}") from None
     if width < 1 or height < 1:
         raise FormatError("PBM dimensions must be positive")
+    _check_pixels(width, height)
+    bits = "".join(tokens[3:])
     if len(bits) != width * height or set(bits) - {"0", "1"}:
         raise FormatError(
             f"expected {width * height} bits of 0/1 data, got {len(bits)}"
@@ -75,13 +82,8 @@ def parse_pbm_with_canvas(
     return PointSet(2, frozenset(points)), canvas
 
 
-def parse_pbm(text: str, *, center_origin: bool = False) -> PointSet:
-    return parse_pbm_with_canvas(text, center_origin=center_origin)[0]
-
-
 def read_pbm(path, *, center_origin: bool = False) -> PointSet:
-    with open(path, encoding="ascii") as fh:
-        return parse_pbm(fh.read(), center_origin=center_origin)
+    return read_pbm_with_canvas(path, center_origin=center_origin)[0]
 
 
 def read_pbm_with_canvas(
@@ -111,8 +113,7 @@ def format_pbm(points: PointSet, *, canvas: tuple[int, int, int, int] | None = N
     max_row = max([canvas[3], *rows]) if rows else canvas[3]
     width = max_col - min_col + 1
     height = max_row - min_row + 1
-    if width * height > MAX_PIXELS:
-        raise TooLarge(f"{width}x{height} raster exceeds the cap of {MAX_PIXELS} pixels")
+    _check_pixels(width, height)
     # One cell per pixel: its bit, then a space, or a newline after every 34th
     # pixel of a row (34 fill 67 of the 70 columns allowed) and at its end.
     grid = np.full((height * width, 2), (ord("0"), ord(" ")), np.uint8)

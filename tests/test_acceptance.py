@@ -11,6 +11,7 @@ import time
 import latspace as ls
 from latspace import morphology as mo
 from latspace import selfcheck as sc
+from latspace.distributed import pair_formula_images
 
 
 def report(line: str) -> None:
@@ -223,7 +224,8 @@ def test_criterion_10_nondistributive_survey(canonical):
     m3 = canonical["M3"]
     swap_cd = ls.SpaceFunction(m3, (0, 1, 3, 2, 4))
     b_to_top = ls.SpaceFunction(m3, (0, 4, 2, 3, 4))
-    images, verdict = ls.delta_pair_raw(m3, swap_cd, b_to_top)
+    images = pair_formula_images(m3, swap_cd.images, b_to_top.images)
+    verdict = ls.validate_space_function(m3, images)
     assert images == [m3.bottom_id] * m3.n and verdict is None
     lines.append("the swap/collapse M3 pair itself yields the constant-bottom map")
     elapsed = time.monotonic() - t0

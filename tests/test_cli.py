@@ -238,6 +238,27 @@ def test_morph_refuses_a_raster_over_the_pixel_cap(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_morph_refuses_an_image_over_the_pixel_cap_from_its_header(tmp_path, capsys):
+    # the output canvas contains the image's, so a 1025x1024 image is refused
+    # before its bits are read, not after a dilation of some 300,000 points
+    rng = random.Random(22)
+    image = tmp_path / "image.pbm"
+    rows = ("".join("1" if rng.random() < 0.3 else "0" for _ in range(1025)) for _ in range(1024))
+    image.write_text("P1\n1025 1024\n" + "\n".join(rows) + "\n")
+    brush = tmp_path / "cross.pbm"
+    brush.write_text("P1\n3 3\n0 1 0\n1 1 1\n0 1 0\n")
+    out_path = tmp_path / "out.pbm"
+    t0 = time.monotonic()
+    code = cli.main(["morph", "--op", "dilate", "--image", str(image), "--se", str(brush),
+                     "--out", str(out_path)])
+    assert time.monotonic() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1
+    assert err.startswith("ERROR TooLarge:")
+    assert not out_path.exists()
+
+
 def test_deterministic_output(fixture_dir):
     args = ("delta", "--scs", str(fixture_dir / "m2_scs.json"), "--group", "2,1", "--emit", "json")
     first, second = run_cli(*args), run_cli(*args)

@@ -130,10 +130,11 @@ def test_batched_pair_formula_matches_naive_on_closure_systems():
         assert pair_formula_images(lat, fs[0].images, fs[6].images) == images[:, 0].tolist()
 
 
-def test_delta_pair_raw_reports_verdict(m3):
+def test_pair_formula_verdict_names_the_failed_axiom(m3):
     collapse_to_b = ls.SpaceFunction(m3, (0, 1, 1, 1, 1))
     ident = ls.identity_function(m3)
-    images, verdict = ls.delta_pair_raw(m3, collapse_to_b, ident)
+    images = pair_formula_images(m3, collapse_to_b.images, ident.images)
+    verdict = ls.validate_space_function(m3, images)
     assert verdict is not None and verdict.axiom == "S.2"
     # the counterexample shape: both atoms map below their join's image
     c, d = verdict.witness
@@ -145,7 +146,8 @@ def test_swap_collapse_pair_on_m3_gives_constant_bottom(m3):
     # swap two atoms / send one atom to the top: the formula collapses
     swap_cd = ls.SpaceFunction(m3, (0, 1, 3, 2, 4))
     b_to_top = ls.SpaceFunction(m3, (0, 4, 2, 3, 4))
-    images, verdict = ls.delta_pair_raw(m3, swap_cd, b_to_top)
+    images = pair_formula_images(m3, swap_cd.images, b_to_top.images)
+    verdict = ls.validate_space_function(m3, images)
     assert images == [m3.bottom_id] * m3.n
     assert verdict is None  # constantly-bottom IS a space function
 
@@ -258,7 +260,8 @@ def test_m3_general_vs_raw_formula(m3):
     collapse_to_b = ls.SpaceFunction(m3, (0, 1, 1, 1, 1))
     ident = ls.identity_function(m3)
     exact = ls.function_meet_oracle(m3, [collapse_to_b, ident])
-    raw, verdict = ls.delta_pair_raw(m3, collapse_to_b, ident)
+    raw = pair_formula_images(m3, collapse_to_b.images, ident.images)
+    verdict = ls.validate_space_function(m3, raw)
     assert verdict is not None
     assert all(m3.leq[e, r] for e, r in zip(exact.images, raw))
     assert exact.images != tuple(raw)

@@ -119,11 +119,14 @@ def test_box_two_state_example(two_state_model):
     models = [two_state_model]
     x = frozenset({(0, "t")})
     assert ep.kripke_box(models, "1", x) == frozenset({(0, "s"), (0, "t")})
+    # the agent is normalised with str(), as in kripke_dk and Scs.group
+    assert ep.kripke_box(models, 1, x) == frozenset({(0, "s"), (0, "t")})
 
 
 def test_box_unknown_agent(two_state_model):
-    with pytest.raises(UnknownAgent):
-        ep.kripke_box([two_state_model], "9", frozenset())
+    for agent in ("9", 9):
+        with pytest.raises(UnknownAgent):
+            ep.kripke_box([two_state_model], agent, frozenset())
 
 
 def test_dk_singleton_equals_box(two_state_model):
@@ -324,6 +327,11 @@ def test_aumann_know_basics(grid_structure):
     assert ep.aumann_know(grid_structure, "1", s) == s
     assert ep.aumann_know(grid_structure, "1", frozenset({"1", "2"})) == frozenset({"1", "2"})
     assert ep.aumann_know(grid_structure, "1", frozenset({"1"})) == frozenset()
+    # the agent is normalised with str(), as in aumann_dk; unknown names raise
+    assert ep.aumann_know(grid_structure, 1, frozenset({"1", "2"})) == frozenset({"1", "2"})
+    for agent in ("9", 9):
+        with pytest.raises(UnknownAgent):
+            ep.aumann_know(grid_structure, agent, s)
 
 
 def test_aumann_know_three_state_example():

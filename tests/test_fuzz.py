@@ -158,6 +158,13 @@ def test_agent_system_commands_never_crash(workdir, text, data, max_enum):
     check_cli(argv, max_enum)
 
 
+@pytest.mark.parametrize("path", EDGE)
+def test_every_edge_string_as_the_lattice_path(workdir, path):
+    # the draws above put a given edge string in the path slot too rarely
+    # to reach each one on every run
+    check_cli(["scs-check", _write(workdir / "scs.json", json.dumps({"lattice": path}))])
+
+
 @settings(max_examples=100, deadline=None)
 @given(texts=st.lists(document([KRIPKE]), min_size=1, max_size=2),
        formula=st.text(alphabet="pq~&|[]D{}12,TF() ", max_size=16))

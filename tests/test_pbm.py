@@ -9,7 +9,7 @@ from latspace.morphology import PointSet
 
 def test_parse_simple_image():
     text = "P1\n3 2\n1 0 0\n0 0 1\n"
-    pts = pbm.parse_pbm(text)
+    pts = pbm.parse_pbm_with_canvas(text)[0]
     assert pts == PointSet(2, frozenset({(0, 0), (2, -1)}))
 
 
@@ -17,13 +17,13 @@ def test_parse_center_origin_vertical_pair():
     # 1x2 column with centered origin lands on the pair used by the
     # "sees a pixel only with another below it" brush
     text = "P1\n1 2\n1\n1\n"
-    pts = pbm.parse_pbm(text, center_origin=True)
+    pts = pbm.parse_pbm_with_canvas(text, center_origin=True)[0]
     assert pts == PointSet(2, frozenset({(0, 0), (0, -1)}))
 
 
 def test_origin_comment_overrides_default():
     text = "P1\n# origin 1 1\n3 3\n0 1 0\n1 1 1\n0 1 0\n"
-    pts = pbm.parse_pbm(text)
+    pts = pbm.parse_pbm_with_canvas(text)[0]
     assert pts == PointSet(
         2, frozenset({(0, 0), (0, 1), (0, -1), (1, 0), (-1, 0)})
     )
@@ -31,13 +31,13 @@ def test_origin_comment_overrides_default():
 
 def test_comments_and_packed_digits_are_tolerated():
     text = "P1\n# a remark\n2 2\n10\n01\n"
-    pts = pbm.parse_pbm(text)
+    pts = pbm.parse_pbm_with_canvas(text)[0]
     assert pts == PointSet(2, frozenset({(0, 0), (1, -1)}))
 
 
 @pytest.mark.parametrize("comment", ["# originally drawn by hand", "# origins: scanned"])
 def test_comments_that_only_start_with_origin_are_remarks(comment):
-    pts = pbm.parse_pbm(f"P1\n{comment}\n2 2\n10\n01\n")
+    pts = pbm.parse_pbm_with_canvas(f"P1\n{comment}\n2 2\n10\n01\n")[0]
     assert pts == PointSet(2, frozenset({(0, 0), (1, -1)}))
 
 
@@ -54,7 +54,7 @@ def test_comments_that_only_start_with_origin_are_remarks(comment):
 )
 def test_malformed_files_rejected(bad):
     with pytest.raises(FormatError):
-        pbm.parse_pbm(bad)
+        pbm.parse_pbm_with_canvas(bad)
 
 
 def test_round_trip_preserves_points_and_canvas(tmp_path):

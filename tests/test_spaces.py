@@ -428,7 +428,8 @@ def test_projection_matches_reference_on_closure_systems():
 def test_down_sizes_count_the_elements_below(canonical):
     for lat in canonical.values():
         assert lat.down_sizes.tolist() == [len(lat.down_ids(x)) for x in range(lat.n)]
-        assert not lat.down_sizes.flags.writeable
+        for table in (lat.down_sizes, lat.cover):
+            assert not table.flags.writeable
 
 
 # -- agent systems ------------------------------------------------------------------
