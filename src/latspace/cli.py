@@ -14,7 +14,7 @@ from .errors import InvalidElement, LatspaceError
 from .lattice import FiniteLattice
 # validate_space_function is unused here but stays importable from this module:
 # perfbench/tests checks that the span tracer patches it in every namespace.
-from .spaces import Scs, agent_projection, validate_space_function  # noqa: F401
+from .spaces import Scs, validate_space_function  # noqa: F401
 
 
 def _parse_group(text: str) -> list[str]:
@@ -68,16 +68,14 @@ def cmd_delta(args) -> int:
 
 def cmd_project(args) -> int:
     scs = Scs.load(args.scs)
-    group = _parse_group(args.group)
     lattice = scs.lattice
     c = lattice.id_of(args.at)
-    if args.kind == "agent":
-        if len(group) != 1:
-            raise InvalidElement("--kind agent expects exactly one agent in --group")
-        result = agent_projection(scs.agent(group[0]), c)
-    elif args.kind == "join":
+    group = scs.group(_parse_group(args.group))
+    if args.kind == "join":
         result = distributed.join_projection(scs, group, c)
-    else:
+    else:  # D.2: one agent's projection is its one-agent group's
+        if args.kind == "agent" and len(group) != 1:
+            raise InvalidElement("--kind agent expects exactly one agent in --group")
         result = distributed.group_projection(scs, group, c)
     print(lattice.labels[result])
     return 0

@@ -16,7 +16,7 @@ independent references for the selfcheck catalogue.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .distributed import delta_group
@@ -66,12 +66,6 @@ class Or(Formula):
 
 
 @dataclass(frozen=True, slots=True)
-class Box(Formula):
-    agent: str
-    arg: Formula
-
-
-@dataclass(frozen=True, slots=True)
 class Dk(Formula):
     agents: frozenset[str]
     arg: Formula
@@ -87,7 +81,8 @@ def parse_formula(text: str) -> Formula:
     """Parse the surface syntax: p, ~f, f & g, f | g, []i f, D{1,2} f, T, F.
 
     Negation and the modalities bind tighter than &, which binds tighter
-    than |.
+    than |.  `[]i f` parses to `D{i} f`, as axiom D.2 makes an agent's own
+    space the one-agent group's.
     """
     tokens: list[tuple[str, str]] = []
     pos = 0
@@ -134,7 +129,7 @@ def parse_formula(text: str) -> Formula:
             return Not(parse_unary())
         if kind == "box":
             agent = take("box")[2:].strip()
-            return Box(agent, parse_unary())
+            return Dk(frozenset({agent}), parse_unary())  # D.2: []i is D{i}
         if kind == "dk":
             body = take("dk")[2:-1]
             agents = frozenset(a.strip() for a in body.split(",") if a.strip())
@@ -271,22 +266,23 @@ class KripkeScs:
 
     Bit k of an element id is `pointed[k]`: a (model index, state) pair for
     Kripke models and boolean assignments, a plain state for an Aumann
-    structure.  The full mask is the empty-information bottom and 0 the
-    inconsistent top, so join is intersection and negation is complement.
+    structure.  `names[k]` prints it: its state, or `m<i>:state` when the
+    points span several models; lattice labels are bit sets such as {0,3}.
+    The full mask is the empty-information bottom and 0 the inconsistent
+    top, so join is intersection and negation is complement.
     """
 
     models: tuple[KripkeModel, ...]
     pointed: tuple
     scs: Scs
+    names: tuple[str, ...]
 
     @property
     def lattice(self) -> FiniteLattice:
         return self.scs.lattice
 
     def pointed_label(self, p) -> str:
-        """The point's ground label: its state, or `m<i>:state` when the
-        points span several models."""
-        return self.lattice.labels[self.element_of([p])][1:-1]
+        return self.names[self.element_of([p]).bit_length() - 1]
 
     def element_of(self, members: Iterable) -> int:
         mask = 0
@@ -320,10 +316,8 @@ class KripkeScs:
             return self.evaluate(formula.left) & self.evaluate(formula.right)
         if isinstance(formula, Or):
             return self.evaluate(formula.left) | self.evaluate(formula.right)
-        if isinstance(formula, Box):
-            return self.scs.agent(formula.agent).images[self.evaluate(formula.arg)]
         if isinstance(formula, Dk):
-            return self.delta(sorted(formula.agents)).images[self.evaluate(formula.arg)]
+            return self.delta(formula.agents).images[self.evaluate(formula.arg)]
         raise InvalidElement(f"unsupported formula node {formula!r}")
 
 
@@ -338,7 +332,7 @@ def _induce(models: tuple[KripkeModel, ...]) -> KripkeScs:
     `powerset_order` raises TooLarge before any work past 10 pointed states.
     """
     pts = pointed_states(models)
-    labels, leq = powerset_order([s if len(models) == 1 else f"m{i}:{s}" for i, s in pts])
+    labels, leq = powerset_order(range(len(pts)))
     lattice = FiniteLattice(labels, leq.T)
     bit = {p: 1 << k for k, p in enumerate(pts)}
     agents = {}
@@ -349,7 +343,8 @@ def _induce(models: tuple[KripkeModel, ...]) -> KripkeScs:
                 succ[i, s] |= bit[i, t]
         boxes = [sum(bit[p] for p in pts if not succ[p] & ~j) for j in lattice.irreducibles]
         agents[agent] = SpaceFunction(lattice, lattice.extend(boxes))
-    return KripkeScs(models, tuple(pts), Scs(lattice, agents))
+    names = tuple(s if len(models) == 1 else f"m{i}:{s}" for i, s in pts)
+    return KripkeScs(models, tuple(pts), Scs(lattice, agents), names)
 
 
 def kripke_to_scs(models: Sequence[KripkeModel]) -> KripkeScs:
@@ -474,4 +469,4 @@ def aumann_to_scs(a: AumannStructure) -> KripkeScs:
         for agent, blocks in a.partitions.items()
     }
     induced = _induce((KripkeModel(a.states, (), {}, relations),))
-    return KripkeScs(induced.models, a.states, induced.scs)
+    return replace(induced, pointed=a.states)

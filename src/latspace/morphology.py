@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_, or_
+from operator import and_, index, or_
 from typing import Iterable
 
-from .errors import DimMismatch, EmptyStructuringElement, TooLarge
+from .errors import DimMismatch, EmptyStructuringElement, InvalidElement, TooLarge
 from .lattice import powerset_lattice
 from .spaces import SpaceFunction, function_meet_oracle
 
@@ -36,7 +36,10 @@ class PointSet:
     def __post_init__(self):
         if self.dim < 1:
             raise DimMismatch("dimension must be positive")
-        pts = frozenset(tuple(int(c) for c in p) for p in self.points)
+        try:  # integers only: a float, string or None is refused, not truncated
+            pts = frozenset(tuple(map(index, p)) for p in self.points)
+        except TypeError:
+            raise InvalidElement("points must be tuples of integers") from None
         for p in pts:
             if len(p) != self.dim:
                 raise DimMismatch(f"point {p} does not have dimension {self.dim}")

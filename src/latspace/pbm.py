@@ -10,6 +10,8 @@ the form `# origin COL ROW`.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import FormatError, TooLarge
@@ -27,23 +29,27 @@ def _check_pixels(width: int, height: int) -> None:
         raise TooLarge(f"{width}x{height} raster exceeds the cap of {MAX_PIXELS} pixels")
 
 
+# A comment runs from '#' to its line end: any `str.splitlines` boundary.
+_COMMENT = re.compile(r"#([^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)")
+
+
 def _tokenize(text: str):
-    """PBM tokens with comments stripped; also collects origin comments."""
+    """PBM tokens with comments stripped, and the last origin comment."""
     origin = None
-    tokens: list[str] = []
-    for line in text.splitlines():
-        body, _, comment = line.partition("#")
-        comment = comment.strip()
+
+    def strip(match) -> str:
+        nonlocal origin
+        comment = match[1].strip()
         parts = comment.split()
         if parts[:1] == ["origin"]:
-            if len(parts) != 3:
-                raise FormatError(f"malformed origin comment {comment!r}")
             try:
-                origin = (int(parts[1]), int(parts[2]))
+                _, col, row = parts
+                origin = (int(col), int(row))
             except ValueError:
                 raise FormatError(f"malformed origin comment {comment!r}") from None
-        tokens.extend(body.split())
-    return tokens, origin
+        return ""
+
+    return _COMMENT.sub(strip, text).split(), origin
 
 
 def parse_pbm_with_canvas(
@@ -65,19 +71,15 @@ def parse_pbm_with_canvas(
     if width < 1 or height < 1:
         raise FormatError("PBM dimensions must be positive")
     _check_pixels(width, height)
-    bits = "".join(tokens[3:])
-    if len(bits) != width * height or set(bits) - {"0", "1"}:
-        raise FormatError(
-            f"expected {width * height} bits of 0/1 data, got {len(bits)}"
-        )
+    # One byte per bit, less "0", so other bytes wrap above 1; non-ASCII encodes as "?".
+    bits = np.frombuffer("".join(tokens[3:]).encode("ascii", "replace"), np.uint8) - ord("0")
+    if bits.size != width * height or (bits > 1).any():
+        raise FormatError(f"expected {width * height} bits of 0/1 data, got {bits.size}")
     if origin is None:
         origin = ((width - 1) // 2, (height - 1) // 2) if center_origin else (0, 0)
     oc, orow = origin
-    points = set()
-    for row in range(height):
-        for col in range(width):
-            if bits[row * width + col] == "1":
-                points.add((col - oc, orow - row))
+    rows, cols = np.nonzero(bits.reshape(height, width))
+    points = zip((cols - oc).tolist(), (orow - rows).tolist())
     canvas = (-oc, -orow, width - 1 - oc, height - 1 - orow)
     return PointSet(2, frozenset(points)), canvas
 

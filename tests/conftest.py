@@ -8,7 +8,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import latspace as ls  # noqa: E402
-from latspace import morphology, selfcheck  # noqa: E402
+from latspace import morphology, pbm, selfcheck  # noqa: E402
+from latspace.errors import FormatError, TooLarge  # noqa: E402
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -200,6 +201,49 @@ def oplus_rhs_reference(x, a, b):
             term = morphology.minkowski_sum(y, a).points | morphology.minkowski_sum(rest, b).points
             acc = term if acc is None else acc & term
     return morphology.PointSet(dim, acc)
+
+
+def parse_pbm_reference(text, *, center_origin=False):
+    """Reference for pbm.parse_pbm_with_canvas: strip each line's comment
+    after its first '#', read origin comments line by line, and test every
+    pixel of the joined bit string."""
+    origin = None
+    tokens = []
+    for line in text.splitlines():
+        body, _, comment = line.partition("#")
+        comment = comment.strip()
+        parts = comment.split()
+        if parts[:1] == ["origin"]:
+            if len(parts) != 3:
+                raise FormatError(f"malformed origin comment {comment!r}")
+            try:
+                origin = (int(parts[1]), int(parts[2]))
+            except ValueError:
+                raise FormatError(f"malformed origin comment {comment!r}") from None
+        tokens.extend(body.split())
+    if not tokens or tokens[0] != "P1":
+        raise FormatError("expected a plain PBM file (magic P1)")
+    try:
+        width, height = int(tokens[1]), int(tokens[2])
+    except (IndexError, ValueError) as exc:
+        raise FormatError(f"malformed PBM header: {exc}") from None
+    if width < 1 or height < 1:
+        raise FormatError("PBM dimensions must be positive")
+    if width * height > pbm.MAX_PIXELS:
+        raise TooLarge(f"{width}x{height} raster exceeds the cap of {pbm.MAX_PIXELS} pixels")
+    bits = "".join(tokens[3:])
+    if len(bits) != width * height or set(bits) - {"0", "1"}:
+        raise FormatError(f"expected {width * height} bits of 0/1 data, got {len(bits)}")
+    if origin is None:
+        origin = ((width - 1) // 2, (height - 1) // 2) if center_origin else (0, 0)
+    oc, orow = origin
+    points = set()
+    for row in range(height):
+        for col in range(width):
+            if bits[row * width + col] == "1":
+                points.add((col - oc, orow - row))
+    canvas = (-oc, -orow, width - 1 - oc, height - 1 - orow)
+    return morphology.PointSet(2, frozenset(points)), canvas
 
 
 # Non-distributive shapes stacked above a powerset's top: (new labels, covers

@@ -167,6 +167,32 @@ def test_aumann_output_equals_the_reference_operator(tmp_path, capsys):
         ))
 
 
+def test_set_like_state_names_print_as_given(tmp_path, capsys):
+    # as sets, {a,b} and {"a,b"} share a label, and so do {} and {""}
+    path = tmp_path / "kripke.json"
+    path.write_text(json.dumps({"states": ["a", "b", "a,b"], "props": ["p"],
+                                "val": {"a,b": {"p": 1}}, "rel": {"1": [["a", "a,b"]]}}))
+    code = cli.main(["kripke", "--model", str(path), "--formula", "[]1 p"])
+    assert (code, capsys.readouterr().out) == (
+        0, "satisfying pointed states (3):\n  a\n  a,b\n  b\n")
+    path = tmp_path / "aumann.json"
+    path.write_text(json.dumps({"states": ["", "{x}", "{}"],
+                                "partitions": {"1": [["", "{x}"], ["{}"]], "2": [[""], ["{x}", "{}"]]}}))
+    code = cli.main(["aumann", "--model", str(path), "--group", "1,2", "--event", "{x}"])
+    assert (code, capsys.readouterr().out) == (
+        0, "distributed knowledge of {{x}} in group {1,2}:\n  {{x}}\n")
+
+
+def test_project_agent_kind_reads_a_repeated_agent_once(fixture_dir, capsys):
+    for at in ("p∨¬p", "p", "¬p", "p∧¬p"):
+        argv = ["project", "--scs", str(fixture_dir / "m2_scs.json"), "--at", at, "--kind", "agent"]
+        outputs = []
+        for group in ("1", "1,1", " 1 ,1"):
+            outputs.append((cli.main([*argv, "--group", group]), capsys.readouterr()))
+        assert outputs[0][0] == 0
+        assert outputs[1:] == outputs[:1] * 2
+
+
 def test_morph_ddilate_disjoint_is_all_white(fixture_dir, tmp_path):
     # two brushes with empty intersection wipe the image
     se1 = tmp_path / "a.pbm"

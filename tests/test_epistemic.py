@@ -81,8 +81,8 @@ def test_parser_precedence_and_shapes():
     assert isinstance(f, ep.Or)
     assert isinstance(f.left, ep.And)
     assert isinstance(f.left.left, ep.Not)
-    boxed = ep.parse_formula("[]1 (p & q)")
-    assert isinstance(boxed, ep.Box) and boxed.agent == "1"
+    # D.2: an agent's box is the one-agent group's distributed knowledge
+    assert ep.parse_formula("[]1 (p & q)") == ep.Dk(frozenset({"1"}), ep.And(ep.Atom("p"), ep.Atom("q")))
     dk = ep.parse_formula("D{2,1} p")
     assert isinstance(dk, ep.Dk) and dk.agents == frozenset({"1", "2"})
 
@@ -306,6 +306,53 @@ def test_multi_model_sets():
     assert got == frozenset({(0, "s"), (1, "u")})
     labels = sorted(ks.pointed_label(p) for p in ks.pointed)
     assert labels == ["m0:s", "m1:s", "m1:u"]
+
+
+def test_box_is_the_one_agent_group_and_the_reference_box():
+    rng = random.Random(23)
+    for _ in range(30):
+        models = selfcheck.random_kripke_models(rng)
+        ks = ep.kripke_to_scs(models)
+        for agent in sorted(ks.scs.agents):
+            for body in ("p", "~q", "p | q"):
+                boxed = ks.evaluate(ep.parse_formula(f"[]{agent} ({body})"))
+                assert boxed == ks.evaluate(ep.parse_formula(f"D{{{agent}}} ({body})"))
+                inner = ks.set_of(ks.evaluate(ep.parse_formula(body)))
+                assert ks.set_of(boxed) == ep.kripke_box(models, agent, inner)
+
+
+# States whose set labels would collide: {a,b} against {"a,b"}, and the empty
+# set against {""}, both printed "{}".
+SET_LIKE_STATES = [("a", "b", "a,b"), ("{x}", "{}", "")]
+
+
+@pytest.mark.parametrize("states", SET_LIKE_STATES)
+def test_set_like_state_names_answer_and_keep_their_names(states):
+    rel = {"1": frozenset({(states[0], states[1]), (states[2], states[2])}),
+           "2": frozenset((s, t) for s in states for t in states if s <= t)}
+    models = [ep.KripkeModel(states, ("p",), {states[1]: {"p": 1}}, rel)]
+    ks = ep.kripke_to_scs(models)
+    assert [ks.pointed_label(p) for p in ks.pointed] == list(states)
+    for group in (["1"], ["2"], ["1", "2"]):
+        pooled = ks.delta(group)
+        for x in range(ks.lattice.n):
+            assert ks.set_of(pooled.images[x]) == ep.kripke_dk(models, group, ks.set_of(x))
+    with pytest.raises(InvalidElement):
+        ks.pointed_label((0, "missing"))
+
+
+def test_aumann_state_named_by_the_empty_string():
+    a = ep.AumannStructure(("", "a", "b"), {
+        "1": (frozenset({"", "a"}), frozenset({"b"})),
+        "2": (frozenset({""}), frozenset({"a", "b"})),
+    })
+    induced = ep.aumann_to_scs(a)
+    assert [induced.pointed_label(s) for s in induced.pointed] == ["", "a", "b"]
+    assert induced.lattice.labels[induced.element_of({"", "b"})] == "{0,2}"
+    for group in (["1"], ["2"], ["1", "2"]):
+        pooled = induced.delta(group)
+        for x in range(induced.lattice.n):
+            assert induced.set_of(pooled.images[x]) == ep.aumann_dk(a, group, induced.set_of(x))
 
 
 # -- Aumann structures ---------------------------------------------------------------

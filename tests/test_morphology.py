@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import oplus_rhs_reference
 from latspace import morphology as mo
 from latspace import selfcheck
-from latspace.errors import DimMismatch, EmptyStructuringElement, TooLarge
+from latspace.errors import DimMismatch, EmptyStructuringElement, InvalidElement, TooLarge
 
 
 def pset(dim, pts):
@@ -34,6 +35,19 @@ def test_pointset_normalizes_and_validates():
         mo.PointSet(2, frozenset({(1, 2, 3)}))
     with pytest.raises(DimMismatch):
         mo.PointSet(0, frozenset())
+
+
+@pytest.mark.parametrize("coord", [2.7, "3", None])
+def test_pointset_refuses_non_integer_coordinates(coord):
+    # refused, not truncated to (2,) or parsed to (3,)
+    with pytest.raises(InvalidElement):
+        mo.PointSet(1, frozenset({(coord,)}))
+
+
+def test_pointset_keeps_integer_like_coordinates_as_ints():
+    ps = mo.PointSet(2, frozenset({(True, np.int64(-3)), (np.int32(2), 0)}))
+    assert ps.points == {(1, -3), (2, 0)}
+    assert all(type(c) is int for p in ps.points for c in p)
 
 
 def test_dim_mismatch_between_operands():

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import parse_pbm_reference
 from latspace import pbm
 from latspace.errors import FormatError
 from latspace.morphology import PointSet
@@ -128,3 +131,45 @@ def test_format_matches_reference_across_the_wrap(width):
         canvas = (-oc, -orow, width - 1 - oc, height - 1 - orow)
         for args in ({"canvas": canvas}, {}):
             assert pbm.format_pbm(pts, **args) == reference_format_pbm(pts, **args)
+
+
+# Comments that set, break or only resemble an origin, and every line end that
+# str.splitlines knows, so a comment ending early or late shows.
+# A malformed origin refuses the whole file, so it is drawn a fifth as often.
+COMMENTS = 4 * ["# a remark", "#origin 1 2", "# origin -1 0 ", "#\torigin 0 3", "# originally",
+                "# P1 9 9", "# é"] + ["# origin 2", "# origin x y", "## origin 1 1"]
+LINE_ENDS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x85", "\u2028"]
+
+
+@st.composite
+def pbm_texts(draw):
+    width, height = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    bits = draw(st.lists(st.sampled_from("01"), min_size=width * height, max_size=width * height))
+    tail = draw(st.sampled_from([[], [], [], ["1"], ["2"], ["é"], ["x"], None]))
+    bits = bits[:-1] if tail is None else bits + tail
+    magic = draw(st.sampled_from(["P1", "P1", "P1", "P4"]))
+    text = ""
+    for k, token in enumerate([magic, str(width), str(height), *bits]):
+        text += token
+        gap = draw(st.sampled_from(["", "", " ", "\t", "line", "line", "comment"]))
+        if gap == "comment":
+            text += " " + draw(st.sampled_from(COMMENTS)) + draw(st.sampled_from(LINE_ENDS))
+        elif gap == "line":
+            text += draw(st.sampled_from(LINE_ENDS))
+        elif gap or k < 3:
+            text += gap or " "  # glue bits only, so the header stays readable
+    return text + draw(st.sampled_from(["", *LINE_ENDS, *(" " + c for c in COMMENTS)]))
+
+
+def _outcome(parse, text, center_origin):
+    try:
+        return parse(text, center_origin=center_origin)
+    except FormatError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=pbm_texts(), center_origin=st.booleans())
+def test_parse_matches_the_line_by_line_reference(text, center_origin):
+    assert (_outcome(pbm.parse_pbm_with_canvas, text, center_origin)
+            == _outcome(parse_pbm_reference, text, center_origin))
