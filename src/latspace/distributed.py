@@ -5,7 +5,9 @@ join-irreducible j is join-prime (Birkhoff): the meet of space functions
 is fixed by its values on the irreducibles J, so
 delta(c) = join of the f(j) meets over the j in J below c.  A group takes
 one point-wise meet on J and one extension by joins, at O(|J| n), and one
-validation.  The subtraction recursion computes the same value as a
+validation.  The greatest family, DeltaFamily, pools every group of two
+or more agents in the same three steps at once, one column per group.
+The subtraction recursion computes the same value as a
 vectorised meet reduction over the lattice's cached runs of pairs
 a below c, folded pairwise on raw image arrays and validated once.  The
 raw pair formula (meet over all information combinations deriving each
@@ -25,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import LatticeMismatch, NotDistributive, TooLarge
+from .errors import LatticeMismatch, NotASpaceFunction, NotDistributive, TooLarge
 from .lattice import _BLOCK_PAIRS, FiniteLattice
 from .spaces import (
     _first_violations,
@@ -99,15 +101,23 @@ def delta_pair(lattice: FiniteLattice, f: SpaceFunction, g: SpaceFunction) -> Sp
     Every join-irreducible j is join-prime, so the meet is the extension by
     joins of j -> f(j) meet g(j).
     """
-    return _meet_on_irreducibles(lattice, [f, g])
+    return _meets_on_irreducibles(lattice, [f, g])[0]
 
 
-def _meet_on_irreducibles(lattice: FiniteLattice, fs) -> SpaceFunction:
-    """Meet of space functions on a distributive lattice: the extension by
-    joins of the point-wise meet of their images on J, one extension and
-    one validation for any number of functions."""
+def _meets_on_irreducibles(lattice: FiniteLattice, fs, members=None) -> list[SpaceFunction]:
+    """Meets of groups of space functions on a distributive lattice, one per
+    column of the m x G bool array `members` (by default one group of all
+    of fs): the extensions by joins of the groups' point-wise meets on J,
+    in one extension and one validation verdict for every group.  A group
+    that fails raises the NotASpaceFunction a SpaceFunction would."""
     _require_distributive(lattice)
-    return SpaceFunction(lattice, lattice.extend(_irreducible_meet(lattice, fs)))
+    images = lattice.extend(_irreducible_meet(lattice, fs, members))
+    valid = _is_space_function(lattice, images)
+    columns = images.reshape(lattice.n, -1)
+    if not valid.all():
+        bad = columns[:, [int(np.argmin(valid))]]
+        raise NotASpaceFunction(_first_violations(lattice, bad)[0].describe(lattice))
+    return [SpaceFunction._validated(lattice, tuple(column)) for column in columns.T.tolist()]
 
 
 def delta_pair_subtract(
@@ -128,7 +138,8 @@ def _subtract_step(lattice: FiniteLattice, f_images, g_images) -> np.ndarray:
     unvalidated int32 array."""
     a, rest, starts = lattice.subtract_runs
     fi, gi = np.asarray(f_images), np.asarray(g_images)
-    return lattice.run_meets(lattice.join_table[fi[a], gi[rest]], starts)
+    joins = lattice.join_table.ravel().take(fi.take(a) * lattice.n + gi.take(rest))
+    return lattice.run_meets(joins, starts)
 
 
 def delta_tuples_direct(scs: Scs, group, c: int) -> int:
@@ -175,17 +186,42 @@ def subgroups(scs: Scs) -> list[tuple[str, ...]]:
 
 @dataclass
 class DeltaFamily:
-    """Write-once cache of delta_group, keyed by agent-name set."""
+    """The greatest family: the distributed space of every group of the
+    system's agents, keyed by agent-name set and written once.
+
+    The empty group and single agents are read as delta_group answers
+    them, on any lattice.  The first get of a larger group fills every
+    group of two or more agents in one pass: each agent's images at the
+    join-irreducibles J read once, one |J| x G table of group meets on J,
+    one extension by joins of all G columns and one validation verdict.
+    A family over more than MAX_GDC_AGENTS agents raises TooLarge before
+    anything is computed.
+    """
 
     scs: Scs
     cache: dict[frozenset, SpaceFunction] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if len(self.scs.agents) > MAX_GDC_AGENTS:
+            raise TooLarge(f"{len(self.scs.agents)} agents exceeds the cap of {MAX_GDC_AGENTS}")
 
     def get(self, group) -> SpaceFunction:
         names = self.scs.group(group)
         key = frozenset(names)
         if key not in self.cache:
-            self.cache[key] = delta_group(self.scs, names)
+            if len(names) < 2:
+                self.cache[key] = delta_group(self.scs, names)
+            else:
+                self.cache.update(self._pooled_groups())
         return self.cache[key]
+
+    def _pooled_groups(self) -> dict[frozenset, SpaceFunction]:
+        """delta_group of every group of two or more agents, in one pass."""
+        agents = sorted(self.scs.agents)
+        groups = [g for g in subgroups(self.scs) if len(g) > 1]
+        members = np.array([[name in g for g in groups] for name in agents])
+        fs = [self.scs.agent(name) for name in agents]
+        return dict(zip(map(frozenset, groups), _meets_on_irreducibles(self.scs.lattice, fs, members)))
 
 
 def delta_group(scs: Scs, group, method: str = "tuple") -> SpaceFunction:
@@ -210,7 +246,7 @@ def delta_group(scs: Scs, group, method: str = "tuple") -> SpaceFunction:
     if method == "oracle":
         return function_meet_oracle(lattice, fs)
     if method == "tuple":
-        return _meet_on_irreducibles(lattice, fs)
+        return _meets_on_irreducibles(lattice, fs)[0]
     _require_distributive(lattice)
     images = reduce(lambda acc, f: _subtract_step(lattice, acc, f.images), fs[1:], fs[0].images)
     return SpaceFunction(lattice, images)

@@ -262,8 +262,9 @@ class FiniteLattice:
         values = np.asarray(values, dtype=np.int32)
         images = np.full((self.n, *values.shape[1:]), self.bottom_id, dtype=np.int32)
         ups = self.leq.reshape(self.n, self.n, *[1] * (values.ndim - 1))  # batch axes last
+        joins = self.join_table.ravel()
         for j, value in zip(self.irreducibles, values):
-            images = np.where(ups[j], self.join_table[images, value], images)
+            np.copyto(images, joins.take(images * self.n + value), where=ups[j])
         return images
 
     def run_meets(self, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -280,7 +281,7 @@ class FiniteLattice:
         k = 0
         while k < len(starts):
             stop = max(k + 1, int(np.searchsorted(ends, starts[k] + _BLOCK_PAIRS, "right")))
-            rows = keys.rows[values[starts[k] : ends[stop - 1]]]
+            rows = keys.rows.take(values[starts[k] : ends[stop - 1]], axis=0)
             meets = np.bitwise_and.reduceat(rows, starts[k:stop] - starts[k], axis=0)
             out[k:stop] = keys.find(meets)
             k = stop
@@ -357,7 +358,7 @@ class FiniteLattice:
             table = np.full((self.n, self.n), self.bottom_id, dtype=np.int32)
             for j in self.irreducibles:
                 sel = leq[j][:, None] & ~leq[j][None, :]  # j below d, not below c
-                table = np.where(sel, jt[table, j], table)
+                table = np.where(sel, jt[:, j].take(table), table)
             table.flags.writeable = False
             return table
 

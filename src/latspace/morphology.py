@@ -20,9 +20,8 @@ from .spaces import SpaceFunction, function_meet_oracle
 
 Vector = tuple[int, ...]
 
-# oplus_law_rhs visits the 2^k subsets of a k-point set and holds two
-# lists of 2^k translate masks: at k = 20 about 0.3 s and 110-145 MB
-# peak RSS, at k = 21 about 0.6 s and 200-260 MB (see README).
+# oplus_law_rhs visits the 2^k subsets of a k-point set, holding tables of
+# 2^ceil(k/2) translate masks (see README for the measured cost).
 MAX_OPLUS_POINTS = 20
 
 
@@ -129,13 +128,16 @@ def oplus_law_rhs(x: PointSet, a: PointSet, b: PointSet) -> PointSet:
     intersect, over every subset y of x, (y + a) union ((x minus y) + b).
 
     Every point p of x gets its translates p + a and p + b once, each as
-    an int bitmask over the sorted union of all the translates.  A subset
-    s of x is a k-bit mask (bit i for the i-th sorted point), and the
-    tables ya[s] and yb[s], the unions of the a- and b-translates of the
-    points in s, double once per point: ya + [m | mask_p for m in ya].
-    The complement x minus s is full ^ s, which is yb read backwards, so
-    the right-hand side is the AND over all 2^k subsets of
-    ya[s] | yb[full ^ s], decoded back to points.
+    an int bitmask over the sorted union of all the translates.  The
+    sorted points split into a low and a high half, and a subset s of x
+    into its parts t and u in the two halves, so its term is the OR of
+    one table entry per half.  Over the subsets t of a half, the tables
+    ya[t] and yb[t], the unions of the a- and b-translates of the points
+    in t, double once per point: ya + [m | mask_p for m in ya].  The
+    complement of t in the half is full ^ t, which is yb read backwards,
+    so the half's table holds ya[t] | yb[full ^ t].  The right-hand side
+    is the AND over all 2^k pairs (t, u) of high[t] | low[u], decoded
+    back to points; the tables hold 2^ceil(k/2) masks, not 2^k.
 
     The AND stays a loop over subsets on purpose: factored per point it
     becomes the union of p + (a intersect b), which is what
@@ -150,14 +152,21 @@ def oplus_law_rhs(x: PointSet, a: PointSet, b: PointSet) -> PointSet:
     plus_b = [[_add(p, v) for v in b.points] for p in pts]
     universe = sorted(set().union(*plus_a, *plus_b))
     bit = {u: 1 << i for i, u in enumerate(universe)}
+    masks = [(sum(bit[u] for u in ta), sum(bit[u] for u in tb)) for ta, tb in zip(plus_a, plus_b)]
+    half = len(masks) // 2
+    low, high = _subset_terms(masks[:half]), _subset_terms(masks[half:])
+    rhs = reduce(and_, (h | lo for h in high for lo in low))
+    return PointSet(dim, frozenset(u for i, u in enumerate(universe) if rhs >> i & 1))
+
+
+def _subset_terms(masks: list[tuple[int, int]]) -> list[int]:
+    """ya[t] | yb[full ^ t] for every subset t (a bitmask) of the points
+    whose (a, b) translate masks are given."""
     ya, yb = [0], [0]
-    for translates_a, translates_b in zip(plus_a, plus_b):
-        mask_a = sum(bit[u] for u in translates_a)
-        mask_b = sum(bit[u] for u in translates_b)
+    for mask_a, mask_b in masks:
         ya += [m | mask_a for m in ya]
         yb += [m | mask_b for m in yb]
-    rhs = reduce(and_, map(or_, ya, reversed(yb)))
-    return PointSet(dim, frozenset(u for i, u in enumerate(universe) if rhs >> i & 1))
+    return list(map(or_, ya, reversed(yb)))
 
 
 def scale(r: int, x: PointSet) -> PointSet:

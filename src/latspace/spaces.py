@@ -47,6 +47,11 @@ from .lattice import FiniteLattice
 # 4 us each at 8 elements (see README).
 DEFAULT_MAX_ENUM = 250_000
 
+# Cells of one block of pairs (x, j) in _is_space_function, about 16 bytes
+# each at the peak: the 26 pooled groups of a 5-agent family fit in one
+# block on the 1024-element powerset, one column on the 1024-element chain.
+_VERDICT_CELLS = 1 << 20
+
 
 class AxiomViolation(NamedTuple):
     """First failing space axiom and the witnessing element(s)."""
@@ -61,11 +66,22 @@ class AxiomViolation(NamedTuple):
 
 def _is_space_function(lattice: FiniteLattice, img: np.ndarray) -> np.ndarray:
     """Verdict of validate_space_function on an array of element ids,
-    without looking up a witness; on an n x B array, one per column."""
+    without looking up a witness; on an n x B array, one per column.  A
+    column's pairs (x, j) take n x |J| cells, so the columns go in blocks
+    of at most about _VERDICT_CELLS cells (one column when it has more)."""
     irr, columns = lattice.irreducible_columns
-    return (img[lattice.bottom_id] == lattice.bottom_id) & (
-        img[columns] == lattice.join_table[img[:, None], img[irr]]
-    ).all(axis=(0, 1))
+    joins = lattice.join_table.ravel()
+
+    def verdict(block):
+        pooled = joins.take(block[:, None] * lattice.n + block.take(irr, axis=0))
+        return (block[lattice.bottom_id] == lattice.bottom_id) & (
+            block.take(columns, axis=0) == pooled
+        ).all(axis=(0, 1))
+
+    if img.ndim == 1:
+        return verdict(img)
+    step = max(1, _VERDICT_CELLS // max(columns.size, 1))
+    return np.concatenate([verdict(img[:, k : k + step]) for k in range(0, max(img.shape[1], 1), step)])
 
 
 def _image_array(lattice: FiniteLattice, images) -> np.ndarray:
@@ -138,8 +154,9 @@ class SpaceFunction:
 
     @classmethod
     def _validated(cls, lattice: FiniteLattice, images: tuple[int, ...]) -> "SpaceFunction":
-        """A member of enumerate_space_functions, whose images have already
-        passed _is_space_function, built without validating them again."""
+        """A space function whose images have already passed
+        _is_space_function, such as a member of enumerate_space_functions
+        or a pooled group, built without validating them again."""
         f = object.__new__(cls)
         object.__setattr__(f, "lattice", lattice)
         object.__setattr__(f, "images", images)
@@ -239,12 +256,20 @@ def _irreducible_order(lattice: FiniteLattice) -> tuple[np.ndarray, np.ndarray]:
     return np.argsort(below.sum(axis=0), kind="stable"), below
 
 
-def _irreducible_meet(lattice: FiniteLattice, fs) -> np.ndarray:
+def _irreducible_meet(lattice: FiniteLattice, fs, members=None) -> np.ndarray:
     """Point-wise meet of the functions' images on the irreducibles, in
-    the order of lattice.irreducibles; top at each when there are none."""
-    mt = lattice.meet_table
-    return reduce(lambda acc, f: mt[acc, [f.images[j] for j in lattice.irreducibles]],
-                  fs or (), np.full(len(lattice.irreducibles), lattice.top_id))
+    the order of lattice.irreducibles; top at each when there are none.
+    Each function is read at the irreducibles once.  With an m x G bool
+    array `members` the result has a batch axis of G groups: column g
+    meets the functions whose row is True at g, the others adding top,
+    the unit of the meet."""
+    irr, top = lattice.irreducibles, lattice.top_id
+    fs = fs or ()
+    at_irr = np.array([[f.images[j] for j in irr] for f in fs], dtype=np.intp).reshape(len(fs), len(irr))
+    if members is not None:
+        at_irr = np.where(members[:, None, :], at_irr[:, :, None], top)
+    return reduce(lambda acc, values: lattice.meet_table[acc, values], at_irr,
+                  np.full(at_irr.shape[1:], top, dtype=np.intp))
 
 
 def _allowed_images(lattice: FiniteLattice, below) -> list[np.ndarray]:

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import sys
 from pathlib import Path
 
@@ -201,6 +203,27 @@ def oplus_rhs_reference(x, a, b):
             term = morphology.minkowski_sum(y, a).points | morphology.minkowski_sum(rest, b).points
             acc = term if acc is None else acc & term
     return morphology.PointSet(dim, acc)
+
+
+def oplus_rhs_table_reference(x, a, b):
+    """Reference for morphology.oplus_law_rhs with whole-set tables: ya[s]
+    and yb[s], the unions of the a- and b-translate masks of the points in
+    each subset s of x, doubled once per point, then the AND over every s
+    of ya[s] | yb[full ^ s], read as yb backwards.  Holds 2^k masks."""
+    dim = morphology._same_dim(x, a, b)
+    pts = x.sorted_points()
+    plus_a = [[morphology._add(p, v) for v in a.points] for p in pts]
+    plus_b = [[morphology._add(p, v) for v in b.points] for p in pts]
+    universe = sorted(set().union(*plus_a, *plus_b))
+    bit = {u: 1 << i for i, u in enumerate(universe)}
+    ya, yb = [0], [0]
+    for translates_a, translates_b in zip(plus_a, plus_b):
+        mask_a = sum(bit[u] for u in translates_a)
+        mask_b = sum(bit[u] for u in translates_b)
+        ya += [m | mask_a for m in ya]
+        yb += [m | mask_b for m in yb]
+    rhs = functools.reduce(operator.and_, map(operator.or_, ya, reversed(yb)))
+    return morphology.PointSet(dim, frozenset(u for i, u in enumerate(universe) if rhs >> i & 1))
 
 
 def parse_pbm_reference(text, *, center_origin=False):

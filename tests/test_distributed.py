@@ -202,6 +202,66 @@ def test_delta_family_caches(m2_scs):
     assert frozenset(["1", "2"]) in family.cache
 
 
+def family_systems():
+    """Random systems of 2-5 agents on random distributive lattices, and
+    4 agents on the 512-element powerset."""
+    rng = random.Random(71)
+    systems = [selfcheck.random_scs(ls.random_distributive_lattice(rng, points=rng.randint(1, 6)),
+                                    rng, agents)
+               for agents in range(2, 6) for _ in range(3)]
+    big = ls.powerset_lattice([f"g{i}" for i in range(9)])
+    return systems + [selfcheck.random_scs(big, rng, 4)]
+
+
+@pytest.mark.parametrize("scs", family_systems())
+def test_family_entries_equal_delta_group(scs):
+    family = ls.DeltaFamily(scs)
+    groups = subgroups(scs)
+    got = [family.get(group) for group in groups]
+    assert [f.images for f in got] == [ls.delta_group(scs, g).images for g in groups]
+    assert all(f.lattice is scs.lattice for f in got)
+    assert len(family.cache) == 2 ** len(scs.agents)
+    assert all(family.get(group) is f for group, f in zip(groups, got))
+
+
+@pytest.mark.parametrize("name", ["M3", "N5"])
+def test_family_on_nondistributive_answers_small_groups(canonical, name):
+    lat = canonical[name]
+    scs = selfcheck.random_scs(lat, random.Random(3), 3)
+    family = ls.DeltaFamily(scs)
+    assert family.get([]).images == ls.top_function(lat).images
+    for agent in scs.agents:
+        assert family.get([agent]) is scs.agent(agent)
+    with pytest.raises(NotDistributive) as refused:
+        family.get(["1", "2"])
+    with pytest.raises(NotDistributive) as direct:
+        ls.delta_group(scs, ["1", "2"])
+    assert str(refused.value) == str(direct.value)
+    assert "not distributive (witness triple" in str(refused.value)
+    assert len(family.cache) == 1 + len(scs.agents)
+
+
+def test_family_caps_the_agent_count():
+    lat = ls.powerset_lattice(["a", "b"])
+    rng = random.Random(9)
+    five = selfcheck.random_scs(lat, rng, distributed.MAX_GDC_AGENTS)
+    assert len(ls.DeltaFamily(five).get(five.agents).images) == lat.n
+    six = selfcheck.random_scs(lat, rng, distributed.MAX_GDC_AGENTS + 1)
+    with pytest.raises(TooLarge):
+        ls.DeltaFamily(six)
+
+
+def test_family_reports_a_failed_column_as_a_space_function_would(m2_scs, monkeypatch):
+    lat = m2_scs.lattice
+    broken = np.array([[0, 1, 0, 3]], dtype=np.int32).T  # breaks join preservation
+    monkeypatch.setattr(lat, "extend", lambda values: broken)
+    with pytest.raises(ls.NotASpaceFunction) as batched:
+        ls.DeltaFamily(m2_scs).get(["1", "2"])
+    with pytest.raises(ls.NotASpaceFunction) as single:
+        ls.SpaceFunction(lat, (0, 1, 0, 3))
+    assert str(batched.value) == str(single.value)
+
+
 def test_delta_tuples_direct_values(m2_scs):
     lat = m2_scs.lattice
     for c in range(lat.n):
@@ -358,23 +418,44 @@ def test_delta_group_equals_the_left_fold_of_pair_steps(agents):
             assert ls.function_meet_oracle(lat, fs).images == by_tuple.images
 
 
+def spy_on_verdicts(monkeypatch):
+    """Record every validation verdict: the lattice and the n x B block of
+    images it judged, as a list of B image tuples."""
+    calls = []
+    verdict = spaces._is_space_function
+
+    def spy(lattice, images):
+        calls.append((lattice, [tuple(c) for c in images.reshape(lattice.n, -1).T.tolist()]))
+        return verdict(lattice, images)
+
+    for module in (spaces, distributed):
+        monkeypatch.setattr(module, "_is_space_function", spy)
+    return calls
+
+
 @pytest.mark.parametrize("method", ["tuple", "subtract"])
 def test_delta_group_validates_once_per_call(monkeypatch, method):
     lat = ls.powerset_lattice(["a", "b", "c", "d"])
     scs = selfcheck.random_scs(lat, random.Random(5), 5)
-    calls = []
-    validate = spaces.validate_space_function
-
-    def spy(lattice, images):
-        calls.append(lattice)
-        return validate(lattice, images)
-
-    for module in (spaces, distributed):
-        monkeypatch.setattr(module, "validate_space_function", spy)
+    calls = spy_on_verdicts(monkeypatch)
     for size in range(2, 6):
         calls.clear()
-        ls.delta_group(scs, sorted(scs.agents)[:size], method)
-        assert calls == [lat]
+        got = ls.delta_group(scs, sorted(scs.agents)[:size], method)
+        assert calls == [(lat, [got.images])]
+
+
+@pytest.mark.parametrize("agents", range(2, 6))
+def test_family_fill_validates_once(monkeypatch, agents):
+    lat = ls.powerset_lattice(["a", "b", "c", "d"])
+    scs = selfcheck.random_scs(lat, random.Random(agents), agents)
+    calls = spy_on_verdicts(monkeypatch)
+    family = ls.DeltaFamily(scs)
+    family.get(sorted(scs.agents)[:2])
+    pooled = [g for g in subgroups(scs) if len(g) > 1]
+    assert calls == [(lat, [family.cache[frozenset(g)].images for g in pooled])]
+    for group in pooled:
+        family.get(group)
+    assert len(calls) == 1
 
 
 def assert_fold_refuses(lat):

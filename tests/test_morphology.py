@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oplus_rhs_reference
+from conftest import oplus_rhs_reference, oplus_rhs_table_reference
 from latspace import morphology as mo
 from latspace import selfcheck
 from latspace.errors import DimMismatch, EmptyStructuringElement, InvalidElement, TooLarge
@@ -238,6 +238,28 @@ def test_oplus_rhs_seeded_suite_matches_reference():
             a = selfcheck.random_pointset(rng, dim, (0, 4))
             b = selfcheck.random_pointset(rng, dim, (0, 4))
             assert mo.oplus_law_rhs(x, a, b) == oplus_rhs_reference(x, a, b), f"dim {dim} trial {trial}"
+
+
+@pytest.mark.parametrize("k", range(0, 16))
+def test_oplus_rhs_halves_match_the_whole_set_tables(k):
+    rng = random.Random(600 + k)
+    for dim in (1, 2):
+        for _ in range(4):
+            span = max(3, k)
+            x = mo.PointSet(dim, frozenset(
+                tuple(rng.randint(-span, span) for _ in range(dim)) for _ in range(4 * k)))
+            x = mo.PointSet(dim, frozenset(rng.sample(x.sorted_points(), min(k, len(x)))))
+            a = selfcheck.random_pointset(rng, dim, (0, 5))
+            b = selfcheck.random_pointset(rng, dim, (0, 5))
+            assert mo.oplus_law_rhs(x, a, b) == oplus_rhs_table_reference(x, a, b), (k, dim)
+
+
+def test_oplus_rhs_halves_match_at_odd_size_near_the_cap():
+    rng = random.Random(19)
+    x = pset(2, [(10 * i, rng.randint(0, 3)) for i in range(mo.MAX_OPLUS_POINTS - 1)])
+    a = selfcheck.random_pointset(rng, 2, (3, 6), span=2)
+    b = selfcheck.random_pointset(rng, 2, (3, 6), span=2)
+    assert mo.oplus_law_rhs(x, a, b) == oplus_rhs_table_reference(x, a, b)
 
 
 @st.composite

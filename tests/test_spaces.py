@@ -79,6 +79,20 @@ def test_validation_matches_pair_scan(space_functions):
     assert checked == 3 * sum(map(len, functions.values()))
 
 
+@pytest.mark.parametrize("cells", [1, 40, 1 << 20])
+def test_verdict_blocks_match_the_reference(canonical, monkeypatch, cells):
+    """Columns split into blocks of pairs (x, j), including one column per
+    block and an empty batch, give the verdicts of the pair scan."""
+    monkeypatch.setattr(spaces, "_VERDICT_CELLS", cells)
+    rng = random.Random(cells)
+    for lat in [canonical[name] for name in ("M2", "M3", "N5", "chain3")] + [ls.chain_lattice(1)]:
+        maps = [ls.random_space_function(lat, rng).images for _ in range(6)]
+        maps += [tuple(rng.randrange(lat.n) for _ in range(lat.n)) for _ in range(12)]
+        got = spaces._is_space_function(lat, np.array(maps, dtype=np.int32).T)
+        assert got.tolist() == [pair_scan_violation(lat, images) is None for images in maps]
+        assert spaces._is_space_function(lat, np.zeros((lat.n, 0), dtype=np.int32)).shape == (0,)
+
+
 def test_batched_witness_matches_validation_column_by_column(canonical):
     rng = random.Random(8)
     lats = [canonical[name] for name in ("M2", "M3", "N5", "chain3")]
