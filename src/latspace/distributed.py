@@ -16,12 +16,19 @@ every finite lattice) are kept as cross-checks.  The survey of the raw
 pair formula on non-distributive lattices evaluates it on blocks of
 function pairs, one batched call per block.  Group and join projections
 are the adjoint side.
+
+A system pools each group once: the production answers (the empty
+group, single agents, and the tuple route for larger groups) live in
+the system's memo `Scs.pooled`, which delta_group, DeltaFamily,
+group_projection and every caller of delta_group read.  The subtract and
+oracle routes on two or more agents are cross-checks and compute on
+every call, never reading or writing the memo.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import Mapping
 
@@ -189,21 +196,27 @@ class DeltaFamily:
     """The greatest family: the distributed space of every group of the
     system's agents, keyed by agent-name set and written once.
 
-    The empty group and single agents are read as delta_group answers
-    them, on any lattice.  The first get of a larger group fills every
-    group of two or more agents in one pass: each agent's images at the
-    join-irreducibles J read once, one |J| x G table of group meets on J,
-    one extension by joins of all G columns and one validation verdict.
-    A family over more than MAX_GDC_AGENTS agents raises TooLarge before
+    Its cache is the system's memo `scs.pooled`, shared with delta_group:
+    a group either of them has pooled is read, not pooled again.  The
+    empty group and single agents are read as delta_group answers them,
+    on any lattice.  The first get of a larger group not yet pooled fills
+    every group of two or more agents in one pass: each agent's images
+    at the join-irreducibles J read once, one |J| x G table of group
+    meets on J, one extension by joins of all G columns and one
+    validation verdict; groups already in the memo keep their entry.  A
+    family over more than MAX_GDC_AGENTS agents raises TooLarge before
     anything is computed.
     """
 
     scs: Scs
-    cache: dict[frozenset, SpaceFunction] = field(default_factory=dict)
 
     def __post_init__(self):
         if len(self.scs.agents) > MAX_GDC_AGENTS:
             raise TooLarge(f"{len(self.scs.agents)} agents exceeds the cap of {MAX_GDC_AGENTS}")
+
+    @property
+    def cache(self) -> dict[frozenset, SpaceFunction]:
+        return self.scs.pooled
 
     def get(self, group) -> SpaceFunction:
         names = self.scs.group(group)
@@ -212,7 +225,8 @@ class DeltaFamily:
             if len(names) < 2:
                 self.cache[key] = delta_group(self.scs, names)
             else:
-                self.cache.update(self._pooled_groups())
+                for entry in self._pooled_groups().items():
+                    self.cache.setdefault(*entry)
         return self.cache[key]
 
     def _pooled_groups(self) -> dict[frozenset, SpaceFunction]:
@@ -233,23 +247,31 @@ def delta_group(scs: Scs, group, method: str = "tuple") -> SpaceFunction:
     subtraction step over the agents in canonical (sorted) name order on
     raw image arrays, which is sound because the meet is associative and
     commutative in the function lattice.  Only the result is validated.
+
+    The tuple answers, and those for fewer than two agents by any method,
+    are pooled once per system and kept in `scs.pooled`; a refusal
+    (NotDistributive) keeps nothing.  "subtract" and "oracle" on two or
+    more agents compute on every call, as cross-checks of the memo.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     names = scs.group(group)
     lattice = scs.lattice
-    if not names:
-        return top_function(lattice)
     fs = [scs.agent(x) for x in names]
-    if len(fs) == 1:
-        return fs[0]
-    if method == "oracle":
+    if len(fs) > 1 and method == "oracle":
         return function_meet_oracle(lattice, fs)
-    if method == "tuple":
-        return _meets_on_irreducibles(lattice, fs)[0]
-    _require_distributive(lattice)
-    images = reduce(lambda acc, f: _subtract_step(lattice, acc, f.images), fs[1:], fs[0].images)
-    return SpaceFunction(lattice, images)
+    if len(fs) > 1 and method == "subtract":
+        _require_distributive(lattice)
+        images = reduce(lambda acc, f: _subtract_step(lattice, acc, f.images), fs[1:], fs[0].images)
+        return SpaceFunction(lattice, images)
+    key = frozenset(names)
+    if key not in scs.pooled:
+        scs.pooled[key] = (
+            top_function(lattice) if not fs
+            else fs[0] if len(fs) == 1
+            else _meets_on_irreducibles(lattice, fs)[0]
+        )
+    return scs.pooled[key]
 
 
 # -- projections ----------------------------------------------------------------
@@ -264,7 +286,8 @@ def join_projection(scs: Scs, group, c: int) -> int:
 
 
 def group_projection(scs: Scs, group, c: int) -> int:
-    """Join of every element the group's distributed space derives from c."""
+    """Join of every element the group's distributed space derives from c;
+    the space is read from the system's memo once delta_group has pooled it."""
     return agent_projection(delta_group(scs, group), c)
 
 

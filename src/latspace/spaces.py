@@ -22,7 +22,8 @@ import os
 import re
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Iterator, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -410,12 +411,21 @@ def agent_projection(f: SpaceFunction, c: int) -> int:
 
 @dataclass(frozen=True)
 class Scs:
-    """A lattice together with named agent space functions."""
+    """A lattice together with named agent space functions.
+
+    The agents are a read-only copy of the given mapping, so `pooled`
+    never goes stale: the memo of the system's pooled spaces, keyed by
+    agent-name set, that distributed.delta_group fills on its production
+    route.  A new system, one made by dataclasses.replace included,
+    starts with an empty memo; equality and repr ignore it.
+    """
 
     lattice: FiniteLattice
-    agents: dict[str, SpaceFunction] = field(default_factory=dict)
+    agents: Mapping[str, SpaceFunction] = field(default_factory=dict)
+    pooled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "agents", MappingProxyType(dict(self.agents)))
         for name, f in self.agents.items():
             if f.lattice is not self.lattice:
                 raise LatticeMismatch(f"agent {name!r} lives on a different lattice")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import latspace as ls
 from latspace import distributed, selfcheck, spaces
+from latspace import epistemic as ep
 from latspace.distributed import pair_formula_images, subgroups
 from latspace.spaces import enumeration_size_estimate
 from latspace.errors import LatticeMismatch, NotDistributive, TooLarge, UnknownAgent
@@ -255,8 +256,9 @@ def test_family_reports_a_failed_column_as_a_space_function_would(m2_scs, monkey
     lat = m2_scs.lattice
     broken = np.array([[0, 1, 0, 3]], dtype=np.int32).T  # breaks join preservation
     monkeypatch.setattr(lat, "extend", lambda values: broken)
+    fresh = ls.Scs(lat, dict(m2_scs.agents))  # the shared fixture's memo may hold the group
     with pytest.raises(ls.NotASpaceFunction) as batched:
-        ls.DeltaFamily(m2_scs).get(["1", "2"])
+        ls.DeltaFamily(fresh).get(["1", "2"])
     with pytest.raises(ls.NotASpaceFunction) as single:
         ls.SpaceFunction(lat, (0, 1, 0, 3))
     assert str(batched.value) == str(single.value)
@@ -456,6 +458,88 @@ def test_family_fill_validates_once(monkeypatch, agents):
     for group in pooled:
         family.get(group)
     assert len(calls) == 1
+
+
+# -- the memo of pooled spaces -------------------------------------------------------
+
+
+def test_a_system_pools_each_group_once(monkeypatch):
+    lat = ls.powerset_lattice(["a", "b", "c", "d"])
+    scs = selfcheck.random_scs(lat, random.Random(13), 3)
+    names = sorted(scs.agents)
+    calls = spy_on_verdicts(monkeypatch)
+    for c in (0, 3, 6, 9, lat.top_id):
+        ls.group_projection(scs, names, c)
+    pooled = ls.delta_group(scs, names)
+    assert calls == [(lat, [pooled.images])]
+    assert ls.DeltaFamily(scs).get(names) is pooled
+    twin = ls.Scs(lat, dict(scs.agents))  # its own memo
+    ls.group_projection(twin, names, 0)
+    assert len(calls) == 2
+
+
+def test_the_family_fill_keeps_what_delta_group_handed_out():
+    lat = ls.powerset_lattice(["a", "b", "c"])
+    scs = selfcheck.random_scs(lat, random.Random(19), 3)
+    pair = ls.delta_group(scs, ["1", "2"])
+    family = ls.DeltaFamily(scs)
+    family.get(["2", "3"])  # fills every group of two or more agents
+    assert family.cache is scs.pooled
+    assert family.get(["1", "2"]) is pair
+    assert ls.delta_group(scs, scs.agents) is family.get(scs.agents)
+
+
+def test_kripke_evaluation_pools_a_group_once(monkeypatch):
+    model = ep.KripkeModel(
+        states=("s", "t", "u"),
+        props=("p", "q"),
+        valuation={"s": {"p": 1, "q": 0}, "t": {"p": 0, "q": 1}, "u": {"p": 1, "q": 1}},
+        relations={"a": frozenset({("s", "t"), ("t", "t"), ("u", "s")}),
+                   "b": frozenset({("s", "s"), ("t", "u"), ("u", "u")})},
+    )
+    ks = ep.kripke_to_scs([model])
+    calls = spy_on_verdicts(monkeypatch)
+    ks.evaluate(ep.parse_formula("D{a,b} p & ~D{b,a} q"))
+    assert calls == [(ks.lattice, [ks.delta(["a", "b"]).images])]
+
+
+def test_the_memo_never_answers_a_cross_check(monkeypatch):
+    lat = ls.powerset_lattice(["a", "b", "c"])
+    scs = selfcheck.random_scs(lat, random.Random(29), 3)
+    names = sorted(scs.agents)
+    by_tuple = ls.delta_group(scs, names, "tuple")
+    steps, oracles = [], []
+    step, oracle = distributed._subtract_step, distributed.function_meet_oracle
+    monkeypatch.setattr(distributed, "_subtract_step",
+                        lambda *args: steps.append(1) or step(*args))
+    monkeypatch.setattr(distributed, "function_meet_oracle",
+                        lambda *args: oracles.append(1) or oracle(*args))
+    for _ in range(2):
+        assert ls.delta_group(scs, names, "subtract").images == by_tuple.images
+        assert ls.delta_group(scs, names, "oracle").images == by_tuple.images
+    assert (len(steps), len(oracles)) == (2 * (len(names) - 1), 2)
+    assert scs.pooled[frozenset(names)] is by_tuple
+
+
+def test_a_wrong_subtraction_step_is_caught_after_the_memo_is_warm(m2_scs, monkeypatch):
+    scs = ls.Scs(m2_scs.lattice, dict(m2_scs.agents))
+    selfcheck.methods_agree([scs])  # warms the memo
+    assert frozenset(["1", "2"]) in scs.pooled
+    monkeypatch.setattr(distributed, "_subtract_step", lambda lat, f, g: np.asarray(f))
+    with pytest.raises(AssertionError, match="subtract disagrees"):
+        selfcheck.methods_agree([scs])
+
+
+@pytest.mark.parametrize("name", ["M3", "N5"])
+def test_a_refusal_is_raised_again_and_kept_nowhere(canonical, name):
+    scs = selfcheck.random_scs(canonical[name], random.Random(3), 2)
+    texts = []
+    for _ in range(2):
+        with pytest.raises(NotDistributive) as refused:
+            ls.delta_group(scs, ["1", "2"])
+        texts.append(str(refused.value))
+    assert texts[0] == texts[1]
+    assert frozenset(["1", "2"]) not in scs.pooled
 
 
 def assert_fold_refuses(lat):

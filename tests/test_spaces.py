@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import time
@@ -452,6 +453,28 @@ def test_down_sizes_count_the_elements_below(canonical):
 def test_scs_rejects_foreign_lattice(m2, m3):
     with pytest.raises(LatticeMismatch):
         ls.Scs(m2, {"1": ls.identity_function(m3)})
+
+
+def test_scs_agents_are_a_read_only_copy(m2, m2_scs):
+    with pytest.raises(TypeError):
+        m2_scs.agents["3"] = m2_scs.agent("1")
+    given = {"1": ls.identity_function(m2)}
+    scs = ls.Scs(m2, given)
+    given["2"] = ls.identity_function(m2)
+    assert list(scs.agents) == ["1"]
+
+
+def test_read_only_scs_loads_dumps_compares_and_replaces(m2_scs):
+    doc = m2_scs.to_json()
+    assert ls.Scs.from_json(doc).to_json() == doc
+    assert json.loads(json.dumps(doc)) == doc
+    twin = ls.Scs(m2_scs.lattice, dict(m2_scs.agents))
+    ls.delta_group(twin, ["1", "2"])
+    assert twin.pooled and twin == m2_scs
+    one = dataclasses.replace(twin, agents={"1": m2_scs.agent("1")})
+    assert list(one.agents) == ["1"] and one.pooled == {}
+    with pytest.raises(TypeError):
+        one.agents["2"] = m2_scs.agent("2")
 
 
 def test_scs_unknown_agent(m2_scs):
