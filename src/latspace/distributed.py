@@ -4,9 +4,9 @@ The production route works on distributive lattices, where every
 join-irreducible j is join-prime (Birkhoff): the meet of space functions
 is fixed by its values on the irreducibles J, so
 delta(c) = join of the f(j) meets over the j in J below c.  A group takes
-one point-wise meet on J and one extension by joins, at O(|J| n), and one
-validation.  The greatest family, DeltaFamily, pools every group of two
-or more agents in the same three steps at once, one column per group.
+one point-wise meet on J and one extension by joins, at O(|J| n), which
+needs no validation.  The greatest family, DeltaFamily, pools every
+unpooled group of two or more agents in the same two steps at once.
 The subtraction recursion computes the same value as a
 vectorised meet reduction over the lattice's cached runs of pairs
 a below c, folded pairwise on raw image arrays and validated once.  The
@@ -34,7 +34,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import LatticeMismatch, NotASpaceFunction, NotDistributive, TooLarge
+from .errors import LatticeMismatch, NotDistributive, TooLarge
 from .lattice import _BLOCK_PAIRS, FiniteLattice
 from .spaces import (
     _first_violations,
@@ -115,16 +115,14 @@ def _meets_on_irreducibles(lattice: FiniteLattice, fs, members=None) -> list[Spa
     """Meets of groups of space functions on a distributive lattice, one per
     column of the m x G bool array `members` (by default one group of all
     of fs): the extensions by joins of the groups' point-wise meets on J,
-    in one extension and one validation verdict for every group.  A group
-    that fails raises the NotASpaceFunction a SpaceFunction would."""
+    in one extension for every group.  None is validated: every j in J is
+    join-prime, so the extension x -> join of g(j) over the j below x of
+    any map g on J sends bottom to bottom and x join y to the join of the
+    images of x and y.  A non-distributive lattice is refused first."""
     _require_distributive(lattice)
     images = lattice.extend(_irreducible_meet(lattice, fs, members))
-    valid = _is_space_function(lattice, images)
-    columns = images.reshape(lattice.n, -1)
-    if not valid.all():
-        bad = columns[:, [int(np.argmin(valid))]]
-        raise NotASpaceFunction(_first_violations(lattice, bad)[0].describe(lattice))
-    return [SpaceFunction._validated(lattice, tuple(column)) for column in columns.T.tolist()]
+    return [SpaceFunction._validated(lattice, tuple(column))
+            for column in images.reshape(lattice.n, -1).T.tolist()]
 
 
 def delta_pair_subtract(
@@ -200,11 +198,12 @@ class DeltaFamily:
     a group either of them has pooled is read, not pooled again.  The
     empty group and single agents are read as delta_group answers them,
     on any lattice.  The first get of a larger group not yet pooled fills
-    every group of two or more agents in one pass: each agent's images
-    at the join-irreducibles J read once, one |J| x G table of group
-    meets on J, one extension by joins of all G columns and one
-    validation verdict; groups already in the memo keep their entry.  A
-    family over more than MAX_GDC_AGENTS agents raises TooLarge before
+    every group of two or more agents missing from the memo in one pass:
+    each agent's images at the join-irreducibles J read once, one |J| x G
+    table of group meets on J and one extension by joins of all G
+    columns, which needs no validation (see _meets_on_irreducibles);
+    groups already in the memo are neither computed again nor replaced.
+    A family over more than MAX_GDC_AGENTS agents raises TooLarge before
     anything is computed.
     """
 
@@ -225,14 +224,13 @@ class DeltaFamily:
             if len(names) < 2:
                 self.cache[key] = delta_group(self.scs, names)
             else:
-                for entry in self._pooled_groups().items():
-                    self.cache.setdefault(*entry)
+                self.cache.update(self._pooled_groups())
         return self.cache[key]
 
     def _pooled_groups(self) -> dict[frozenset, SpaceFunction]:
-        """delta_group of every group of two or more agents, in one pass."""
+        """delta_group of every group of two or more agents not yet pooled, in one pass."""
         agents = sorted(self.scs.agents)
-        groups = [g for g in subgroups(self.scs) if len(g) > 1]
+        groups = [g for g in subgroups(self.scs) if len(g) > 1 and frozenset(g) not in self.cache]
         members = np.array([[name in g for g in groups] for name in agents])
         fs = [self.scs.agent(name) for name in agents]
         return dict(zip(map(frozenset, groups), _meets_on_irreducibles(self.scs.lattice, fs, members)))
@@ -243,10 +241,10 @@ def delta_group(scs: Scs, group, method: str = "tuple") -> SpaceFunction:
 
     The empty group gets the least space; a singleton gets the agent's own
     function.  For larger groups, "tuple" meets every member's images on
-    J at once and extends the result by joins; "subtract" left-folds the
-    subtraction step over the agents in canonical (sorted) name order on
-    raw image arrays, which is sound because the meet is associative and
-    commutative in the function lattice.  Only the result is validated.
+    J at once and extends the result by joins, unvalidated; "subtract"
+    left-folds the subtraction step over the agents in sorted name order
+    on raw image arrays, which is sound because the meet is associative
+    and commutative, and validates only the result.
 
     The tuple answers, and those for fewer than two agents by any method,
     are pooled once per system and kept in `scs.pooled`; a refusal

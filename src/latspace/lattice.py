@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from functools import reduce
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -55,9 +56,7 @@ class FiniteLattice:
         join_table, meet_table: int matrices of pairwise lubs/glbs.
         bottom_id, top_id: ids of the least and greatest elements.
         cover: read-only boolean matrix, cover[a, b] iff b covers a.
-        down_sizes: read-only, down_sizes[x] counts the elements below x; it
-            grows strictly along the order, so a set that holds the join of
-            its members names that join as its member of largest down-set.
+        down_sizes: read-only, down_sizes[x] counts the elements below x.
     """
 
     def __init__(self, labels, leq):
@@ -221,6 +220,20 @@ class FiniteLattice:
             return ids, columns
 
         return self._cached("irreducible_columns", make)
+
+    @property
+    def irreducible_keys(self) -> tuple[Callable, dict[bytes, int]]:
+        """(gather, ids): gather(seq) is the tuple of seq's entries at the
+        join-irreducibles, in one itemgetter call; ids maps each element's
+        down-set on them, as bytes of np.packbits, to the element."""
+
+        def make():
+            irr = self.irreducibles
+            gather = operator.itemgetter(*irr) if len(irr) > 1 else lambda seq: tuple(seq[j] for j in irr)
+            packed = np.packbits(self.leq[list(irr)].T, axis=1)
+            return gather, {row.tobytes(): x for x, row in enumerate(packed)}
+
+        return self._cached("irreducible_keys", make)
 
     @property
     def join_rows(self) -> list[list[int]]:

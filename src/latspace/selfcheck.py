@@ -142,27 +142,6 @@ def function_extremes(functions: Mapping[str, Sequence[SpaceFunction]]) -> None:
                      f"{name}: extremes are not extreme at function {i}")
 
 
-def validation_verdicts(functions: Mapping[str, Sequence[SpaceFunction]], rng,
-                        reference: Callable) -> int:
-    """validate_space_function gives the verdict and witness of `reference`, the
-    literal scan of all n^2 pairs, on each space function, on a copy with one
-    entry redrawn, and on one random self-map fixing bottom per function;
-    returns the number of maps compared."""
-    checks = 0
-    for name, fs in functions.items():
-        for f in fs:
-            lat = f.lattice
-            at = rng.randrange(lat.n)
-            redrawn = f.images[:at] + (rng.randrange(lat.n),) + f.images[at + 1:]
-            noise = [rng.randrange(lat.n) for _ in range(lat.n)]
-            noise[lat.bottom_id] = lat.bottom_id
-            for images in (f.images, redrawn, tuple(noise)):
-                got, want = validate_space_function(lat, images), reference(lat, images)
-                _require(got == want, f"{name}: {images} gives {got}, the pair scan {want}")
-                checks += 1
-    return checks
-
-
 def join_upper_bounds(pairs: Iterable[tuple[SpaceFunction, SpaceFunction]]) -> None:
     """The point-wise join of two space functions validates and lies above both."""
     for f, g in pairs:

@@ -49,8 +49,8 @@ from .lattice import FiniteLattice
 DEFAULT_MAX_ENUM = 250_000
 
 # Cells of one block of pairs (x, j) in _is_space_function, about 16 bytes
-# each at the peak: the 26 pooled groups of a 5-agent family fit in one
-# block on the 1024-element powerset, one column on the 1024-element chain.
+# each at the peak: an enumeration block on a 1024-element lattice can
+# reach about 16M cells, 16 candidates of n x |J| on the chain.
 _VERDICT_CELLS = 1 << 20
 
 
@@ -155,9 +155,10 @@ class SpaceFunction:
 
     @classmethod
     def _validated(cls, lattice: FiniteLattice, images: tuple[int, ...]) -> "SpaceFunction":
-        """A space function whose images have already passed
-        _is_space_function, such as a member of enumerate_space_functions
-        or a pooled group, built without validating them again."""
+        """A space function built without a verdict: a member of
+        enumerate_space_functions (already judged), a pooled group on a
+        distributive lattice or a constant space below, which are space
+        functions by construction."""
         f = object.__new__(cls)
         object.__setattr__(f, "lattice", lattice)
         object.__setattr__(f, "images", images)
@@ -175,19 +176,20 @@ class SpaceFunction:
 
 
 def identity_function(lattice: FiniteLattice) -> SpaceFunction:
-    return SpaceFunction(lattice, tuple(range(lattice.n)))
+    return SpaceFunction._validated(lattice, tuple(range(lattice.n)))
 
 
 def bottom_function(lattice: FiniteLattice) -> SpaceFunction:
     """The constant-bottom map: the greatest space in the function order."""
-    return SpaceFunction(lattice, (lattice.bottom_id,) * lattice.n)
+    return SpaceFunction._validated(lattice, (lattice.bottom_id,) * lattice.n)
 
 
 def top_function(lattice: FiniteLattice) -> SpaceFunction:
-    """bottom at bottom, top elsewhere: the least space."""
+    """bottom at bottom, top elsewhere: the least space.  It preserves
+    joins on every lattice, as x join y is bottom only when x and y are."""
     images = [lattice.top_id] * lattice.n
     images[lattice.bottom_id] = lattice.bottom_id
-    return SpaceFunction(lattice, images)
+    return SpaceFunction._validated(lattice, tuple(images))
 
 
 class Classification(NamedTuple):
@@ -264,9 +266,9 @@ def _irreducible_meet(lattice: FiniteLattice, fs, members=None) -> np.ndarray:
     array `members` the result has a batch axis of G groups: column g
     meets the functions whose row is True at g, the others adding top,
     the unit of the meet."""
-    irr, top = lattice.irreducibles, lattice.top_id
+    irr, top, gather = lattice.irreducibles, lattice.top_id, lattice.irreducible_keys[0]
     fs = fs or ()
-    at_irr = np.array([[f.images[j] for j in irr] for f in fs], dtype=np.intp).reshape(len(fs), len(irr))
+    at_irr = np.array([gather(f.images) for f in fs], dtype=np.intp).reshape(len(fs), len(irr))
     if members is not None:
         at_irr = np.where(members[:, None, :], at_irr[:, :, None], top)
     return reduce(lambda acc, values: lattice.meet_table[acc, values], at_irr,
@@ -396,14 +398,16 @@ def agent_projection(f: SpaceFunction, c: int) -> int:
     """Join of every element whose image under f is derivable from c.
 
     The adjoint of f: extracts all information f's agent holds in c.  The
-    derivable set holds bottom and is closed under joins, as f preserves
-    them, so it holds its own join, above every other member: the member
-    with the most elements below it.  This holds on every finite lattice.
+    derivable set is closed under joins, as f preserves them, so it holds
+    its join a, the join of its members in J.  As f is monotone, those are
+    the j in J below a, which name a.  This holds on every finite lattice.
     """
     lattice = f.lattice
-    c = lattice.check_id(c)
-    derivable = lattice.leq[f.images, c]
-    return int(np.argmax(np.where(derivable, lattice.down_sizes, -1)))
+    below_c = lattice.leq[:, lattice.check_id(c)]
+    gather, ids = lattice.irreducible_keys
+    at_irr = gather(f.images)
+    derivable = below_c[np.fromiter(at_irr, np.intp, len(at_irr))]
+    return ids[np.packbits(derivable).tobytes()]
 
 
 # -- agent systems -------------------------------------------------------------

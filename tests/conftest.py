@@ -85,6 +85,26 @@ def pair_scan_violation(lattice, images):
     return None
 
 
+def validation_verdicts(functions, rng) -> int:
+    """validate_space_function gives the verdict and witness of the pair scan
+    on each space function, on a copy with one entry redrawn, and on one
+    random self-map fixing bottom per function; returns the number of maps
+    compared."""
+    checks = 0
+    for name, fs in functions.items():
+        for f in fs:
+            lat = f.lattice
+            at = rng.randrange(lat.n)
+            redrawn = f.images[:at] + (rng.randrange(lat.n),) + f.images[at + 1:]
+            noise = [rng.randrange(lat.n) for _ in range(lat.n)]
+            noise[lat.bottom_id] = lat.bottom_id
+            for images in (f.images, redrawn, tuple(noise)):
+                got, want = ls.validate_space_function(lat, images), pair_scan_violation(lat, images)
+                assert got == want, f"{name}: {images} gives {got}, the pair scan {want}"
+                checks += 1
+    return checks
+
+
 def agent_projection_reference(f, c):
     """Reference for spaces.agent_projection: the join, by join_of, of
     every element whose image under f lies below c."""

@@ -252,16 +252,29 @@ def test_family_caps_the_agent_count():
         ls.DeltaFamily(six)
 
 
-def test_family_reports_a_failed_column_as_a_space_function_would(m2_scs, monkeypatch):
-    lat = m2_scs.lattice
-    broken = np.array([[0, 1, 0, 3]], dtype=np.int32).T  # breaks join preservation
-    monkeypatch.setattr(lat, "extend", lambda values: broken)
-    fresh = ls.Scs(lat, dict(m2_scs.agents))  # the shared fixture's memo may hold the group
-    with pytest.raises(ls.NotASpaceFunction) as batched:
-        ls.DeltaFamily(fresh).get(["1", "2"])
-    with pytest.raises(ls.NotASpaceFunction) as single:
-        ls.SpaceFunction(lat, (0, 1, 0, 3))
-    assert str(batched.value) == str(single.value)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), powerset=st.booleans())
+def test_the_extension_of_any_map_on_the_irreducibles_is_a_space_function(seed, powerset):
+    """The guarantee the tuple route and the family fill rest on instead
+    of a verdict: on a distributive lattice every j in J is join-prime, so
+    the extension by joins of an arbitrary map on J, monotone or not, sends
+    bottom to bottom and preserves joins."""
+    rng = random.Random(seed)
+    if powerset:
+        lat = ls.powerset_lattice([f"g{i}" for i in range(rng.randint(0, 4))])
+    else:
+        lat = ls.random_distributive_lattice(rng, points=7)
+    irr = lat.irreducibles
+    values = np.array([[rng.randrange(lat.n) for _ in range(8)] for _ in irr], dtype=np.int32)
+    values = values.reshape(len(irr), 8)
+    monotone = lat.leq[values[:, None], values[None, :]] | ~lat.leq[np.ix_(irr, irr)][:, :, None]
+    event(f"maps monotone on J: {int(monotone.all(axis=(0, 1)).sum())} of 8")
+    batch = lat.extend(values)
+    for k, column in enumerate(batch.T):
+        assert ls.validate_space_function(lat, column) is None
+        assert column.tolist() == lat.extend(values[:, k]).tolist() == [
+            lat.join_of([v for v, j in zip(values[:, k], irr) if lat.leq[j, x]]) for x in range(lat.n)
+        ]
 
 
 def test_delta_tuples_direct_values(m2_scs):
@@ -435,29 +448,111 @@ def spy_on_verdicts(monkeypatch):
     return calls
 
 
+def spy_on_fills(monkeypatch):
+    """Record every meet on J that the tuple route and the family fill
+    take: the lattice and the images of the groups it pooled."""
+    calls = []
+    fill = distributed._meets_on_irreducibles
+
+    def spy(lattice, fs, members=None):
+        pooled = fill(lattice, fs, members)
+        calls.append((lattice, [f.images for f in pooled]))
+        return pooled
+
+    monkeypatch.setattr(distributed, "_meets_on_irreducibles", spy)
+    return calls
+
+
 @pytest.mark.parametrize("method", ["tuple", "subtract"])
-def test_delta_group_validates_once_per_call(monkeypatch, method):
+def test_delta_group_verdicts_per_call(monkeypatch, method):
+    """"tuple" pools with one meet on J and takes no verdict; "subtract",
+    a cross-check, validates its result once."""
     lat = ls.powerset_lattice(["a", "b", "c", "d"])
     scs = selfcheck.random_scs(lat, random.Random(5), 5)
-    calls = spy_on_verdicts(monkeypatch)
+    calls, fills = spy_on_verdicts(monkeypatch), spy_on_fills(monkeypatch)
     for size in range(2, 6):
         calls.clear()
+        fills.clear()
         got = ls.delta_group(scs, sorted(scs.agents)[:size], method)
-        assert calls == [(lat, [got.images])]
+        assert calls == ([] if method == "tuple" else [(lat, [got.images])])
+        assert fills == ([(lat, [got.images])] if method == "tuple" else [])
 
 
 @pytest.mark.parametrize("agents", range(2, 6))
 def test_family_fill_validates_once(monkeypatch, agents):
+    """The fill validates once, and only the lattice: one distributivity
+    check, then one meet on J for every group, and no verdict on any of
+    them."""
     lat = ls.powerset_lattice(["a", "b", "c", "d"])
     scs = selfcheck.random_scs(lat, random.Random(agents), agents)
-    calls = spy_on_verdicts(monkeypatch)
+    calls, fills = spy_on_verdicts(monkeypatch), spy_on_fills(monkeypatch)
+    checks = []
+    require = distributed._require_distributive
+    monkeypatch.setattr(distributed, "_require_distributive",
+                        lambda lattice: checks.append(lattice) or require(lattice))
     family = ls.DeltaFamily(scs)
     family.get(sorted(scs.agents)[:2])
     pooled = [g for g in subgroups(scs) if len(g) > 1]
-    assert calls == [(lat, [family.cache[frozenset(g)].images for g in pooled])]
-    for group in pooled:
+    assert fills == [(lat, [family.cache[frozenset(g)].images for g in pooled])]
+    for group in subgroups(scs):
         family.get(group)
-    assert len(calls) == 1
+    assert (calls, len(fills), checks) == ([], 1, [lat])
+
+
+def test_the_family_fills_only_the_groups_not_yet_pooled(monkeypatch):
+    lat = ls.powerset_lattice(["a", "b", "c"])
+    scs = selfcheck.random_scs(lat, random.Random(23), 4)
+    names = sorted(scs.agents)
+    full, pair = ls.delta_group(scs, names), ls.delta_group(scs, names[:2])
+    fills = spy_on_fills(monkeypatch)
+    family = ls.DeltaFamily(scs)
+    family.get(names[1:3])
+    missing = [g for g in subgroups(scs) if len(g) > 1 and g not in (tuple(names), tuple(names[:2]))]
+    assert fills == [(lat, [family.get(g).images for g in missing])]
+    assert family.get(names) is full and family.get(names[:2]) is pair
+    assert [family.get(g).images for g in subgroups(scs)] == [
+        ls.delta_group(scs, g, "subtract").images for g in subgroups(scs)
+    ]
+    assert len(fills) == 1
+
+
+def test_only_the_cross_checks_and_the_input_gate_take_verdicts(monkeypatch):
+    lat = ls.powerset_lattice(["a", "b", "c"])
+    scs = selfcheck.random_scs(lat, random.Random(31), 3)
+    names = sorted(scs.agents)
+    f, g = scs.agent("1"), scs.agent("2")
+    calls = spy_on_verdicts(monkeypatch)
+    ls.delta_group(scs, names[:2], "tuple")
+    ls.delta_pair(lat, f, g)
+    ls.DeltaFamily(scs).get(names[1:])
+    for c in range(lat.n):
+        ls.group_projection(scs, names, c)
+        ls.join_projection(scs, names, c)
+    for make in (ls.top_function, ls.bottom_function, ls.identity_function):
+        make(lat)
+    assert calls == []
+    got = ls.delta_group(scs, names, "subtract")
+    assert calls == [(lat, [got.images])]
+    calls.clear()
+    ls.SpaceFunction(lat, f.images)
+    assert calls == [(lat, [f.images])]
+
+
+@pytest.mark.parametrize("name", ["M3", "N5", "herbrand-xy-ab"])
+def test_a_nondistributive_lattice_is_refused_before_any_extension(canonical, monkeypatch, name):
+    lat = canonical[name]
+    scs = selfcheck.random_scs(lat, random.Random(7), 3)
+    with pytest.raises(NotDistributive) as direct:
+        distributed._require_distributive(lat)
+    extensions = []
+    monkeypatch.setattr(lat, "extend", lambda values: extensions.append(values))
+    for refuse in (lambda: ls.delta_group(scs, ["1", "2"]),
+                   lambda: ls.delta_pair(lat, scs.agent("1"), scs.agent("2")),
+                   lambda: ls.DeltaFamily(ls.Scs(lat, dict(scs.agents))).get(["1", "2", "3"])):
+        with pytest.raises(NotDistributive) as refused:
+            refuse()
+        assert str(refused.value) == str(direct.value)
+    assert extensions == []
 
 
 # -- the memo of pooled spaces -------------------------------------------------------
@@ -467,15 +562,15 @@ def test_a_system_pools_each_group_once(monkeypatch):
     lat = ls.powerset_lattice(["a", "b", "c", "d"])
     scs = selfcheck.random_scs(lat, random.Random(13), 3)
     names = sorted(scs.agents)
-    calls = spy_on_verdicts(monkeypatch)
+    fills = spy_on_fills(monkeypatch)
     for c in (0, 3, 6, 9, lat.top_id):
         ls.group_projection(scs, names, c)
     pooled = ls.delta_group(scs, names)
-    assert calls == [(lat, [pooled.images])]
+    assert fills == [(lat, [pooled.images])]
     assert ls.DeltaFamily(scs).get(names) is pooled
     twin = ls.Scs(lat, dict(scs.agents))  # its own memo
     ls.group_projection(twin, names, 0)
-    assert len(calls) == 2
+    assert len(fills) == 2
 
 
 def test_the_family_fill_keeps_what_delta_group_handed_out():
@@ -498,9 +593,9 @@ def test_kripke_evaluation_pools_a_group_once(monkeypatch):
                    "b": frozenset({("s", "s"), ("t", "u"), ("u", "u")})},
     )
     ks = ep.kripke_to_scs([model])
-    calls = spy_on_verdicts(monkeypatch)
+    fills = spy_on_fills(monkeypatch)
     ks.evaluate(ep.parse_formula("D{a,b} p & ~D{b,a} q"))
-    assert calls == [(ks.lattice, [ks.delta(["a", "b"]).images])]
+    assert fills == [(ks.lattice, [ks.delta(["a", "b"]).images])]
 
 
 def test_the_memo_never_answers_a_cross_check(monkeypatch):

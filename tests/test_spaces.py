@@ -26,6 +26,7 @@ from conftest import (
     closure_system_lattice,
     pair_scan_violation,
     stacked_lattice,
+    validation_verdicts,
 )
 
 
@@ -76,7 +77,7 @@ def test_validation_matches_pair_scan(space_functions):
         for k in range(3):
             functions[f"{shape}/{k}"] = ls.enumerate_space_functions(stacked_lattice(k, shape))
     rng = random.Random(6)
-    checked = selfcheck.validation_verdicts(functions, rng, pair_scan_violation)
+    checked = validation_verdicts(functions, rng)
     assert checked == 3 * sum(map(len, functions.values()))
 
 
@@ -120,7 +121,7 @@ def test_validation_matches_pair_scan_on_downset_lattices(seed):
     rng = random.Random(seed)
     lat = ls.random_distributive_lattice(rng, points=5)
     fs = [ls.random_space_function(lat, rng) for _ in range(20)]
-    assert selfcheck.validation_verdicts({"downsets": fs}, rng, pair_scan_violation) == 60
+    assert validation_verdicts({"downsets": fs}, rng) == 60
 
 
 def test_images_must_be_element_ids(m2):
@@ -438,6 +439,37 @@ def test_projection_matches_reference_on_closure_systems():
             for each in (lat, lat.dual()):
                 for _ in range(4):
                     assert_projections_match_reference(ls.random_space_function(each, rng))
+
+
+@pytest.mark.parametrize("size", [1, 2, 1024])
+def test_projection_matches_reference_at_the_edges_of_the_irreducibles(size):
+    """The 1-element lattice has no join-irreducible, the 2-chain one, and
+    the 1024-element chain 1023, every element but bottom.  On a chain a
+    space function is a monotone map that fixes bottom."""
+    lat = ls.chain_lattice(size)
+    rng = random.Random(size)
+    by_rank = np.argsort(lat.down_sizes)
+    for _ in range(3 if size > 2 else 1):
+        ranks = [0] + sorted(rng.randrange(size) for _ in range(size - 1))
+        f = ls.SpaceFunction(lat, by_rank[np.take(ranks, lat.down_sizes - 1)])
+        assert_projections_match_reference(f)
+    for f in ls.enumerate_space_functions(lat) if size < 3 else ():
+        assert_projections_match_reference(f)
+
+
+def test_the_constant_spaces_are_space_functions_on_every_lattice(canonical):
+    """top_function, bottom_function and identity_function skip validation;
+    each is a space function on every lattice, distributive or not."""
+    rng = random.Random(37)
+    lats = [*canonical.values(), ls.chain_lattice(1), ls.chain_lattice(2)]
+    lats += [closure_system_lattice(rng, rng.randint(1, 5)) for _ in range(20)]
+    assert {False, True} <= {lat.is_distributive for lat in lats}
+    for lat in lats:
+        for make in (ls.top_function, ls.bottom_function, ls.identity_function):
+            f = make(lat)
+            assert ls.validate_space_function(lat, f.images) is None
+            assert f == ls.SpaceFunction(lat, f.images)
+            assert type(f.images) is tuple and all(type(y) is int for y in f.images)
 
 
 def test_down_sizes_count_the_elements_below(canonical):
