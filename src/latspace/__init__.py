@@ -64,10 +64,8 @@ from .epistemic import (
     AumannStructure,
     KripkeModel,
     aumann_dk,
-    aumann_know,
     aumann_to_scs,
     boolean_cs,
-    kripke_box,
     kripke_dk,
     kripke_to_scs,
     parse_formula,

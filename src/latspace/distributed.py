@@ -370,10 +370,6 @@ class TupleFormulaSurvey:
     monotone_everywhere: bool
     violations: list[tuple[SpaceFunction, SpaceFunction, list[int], AxiomViolation]]
 
-    @property
-    def found_counterexample(self) -> bool:
-        return bool(self.violations)
-
     def summary(self) -> str:
         head = (
             f"{self.lattice_name}: {self.function_count} space functions, "

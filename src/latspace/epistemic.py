@@ -230,13 +230,6 @@ def pointed_states(models: Sequence[KripkeModel]) -> list[PointedState]:
     return [(i, s) for i, m in enumerate(models) for s in m.states]
 
 
-def kripke_box(
-    models: Sequence[KripkeModel], agent: str, x: frozenset[PointedState]
-) -> frozenset[PointedState]:
-    """The one-agent kripke_dk: states whose agent-successors all lie in x."""
-    return kripke_dk(models, [agent], x)
-
-
 def kripke_dk(
     models: Sequence[KripkeModel], group, x: frozenset[PointedState]
 ) -> frozenset[PointedState]:
@@ -436,11 +429,6 @@ class AumannStructure:
     @classmethod
     def load(cls, path) -> "AumannStructure":
         return cls.from_json(read_json(path))
-
-
-def aumann_know(a: AumannStructure, agent: str, event: frozenset[str]) -> frozenset[str]:
-    """The one-agent aumann_dk: states whose block lies inside the event."""
-    return aumann_dk(a, [agent], event)
 
 
 def aumann_dk(a: AumannStructure, group, event: frozenset[str]) -> frozenset[str]:

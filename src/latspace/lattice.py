@@ -33,12 +33,15 @@ _BLOCK_PAIRS = 1 << 14
 
 
 class _KeyIndex(NamedTuple):
-    """Each element's key, rows[x], packed into bytes, and `order`, the ids
-    in ascending key order.  In a lattice the keys are distinct."""
+    """Each element's key, rows[x], packed into bytes, with two lookups:
+    `order`, the ids in ascending key order, for find on whole arrays, and
+    `ids`, a dict from each key's bytes to its id, for one key at a time.
+    In a lattice the keys are distinct."""
 
     rows: np.ndarray
     order: np.ndarray
     sorted_keys: np.ndarray
+    ids: dict[bytes, int]
 
     def find(self, rows: np.ndarray) -> np.ndarray:
         """Id with each packed key in `rows` (C-contiguous, bytes last); a key
@@ -189,12 +192,6 @@ class FiniteLattice:
         ids = [self.check_id(x) for x in ids]
         return reduce(lambda a, b: int(self.meet_table[a, b]), ids, self.top_id)
 
-    def up_ids(self, x: int) -> list[int]:
-        return [int(i) for i in np.nonzero(self.leq[self.check_id(x)])[0]]
-
-    def down_ids(self, x: int) -> list[int]:
-        return [int(i) for i in np.nonzero(self.leq[:, self.check_id(x)])[0]]
-
     # -- cached derived structure ---------------------------------------------
 
     def _cached(self, key: str, make):
@@ -209,31 +206,21 @@ class FiniteLattice:
         return self._irreducibles
 
     @property
-    def irreducible_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """(J, join_table[:, J]): the join-irreducibles as an index array
-        and the n x |J| columns of the join table at them."""
-
-        def make():
-            ids = np.array(self.irreducibles, dtype=np.intp)
-            columns = self.join_table[:, ids]
-            ids.flags.writeable = columns.flags.writeable = False
-            return ids, columns
-
-        return self._cached("irreducible_columns", make)
-
-    @property
-    def irreducible_keys(self) -> tuple[Callable, dict[bytes, int]]:
-        """(gather, ids): gather(seq) is the tuple of seq's entries at the
-        join-irreducibles, in one itemgetter call; ids maps each element's
-        down-set on them, as bytes of np.packbits, to the element."""
+    def irreducible_columns(self) -> tuple[np.ndarray, np.ndarray, Callable]:
+        """(J, join_table[:, J], gather): the join-irreducibles as an index
+        array, the n x |J| columns of the join table at them, and gather,
+        where gather(seq) is the tuple of seq's entries at J in one
+        itemgetter call."""
 
         def make():
             irr = self.irreducibles
+            ids = np.array(irr, dtype=np.intp)
+            columns = self.join_table[:, ids]
+            ids.flags.writeable = columns.flags.writeable = False
             gather = operator.itemgetter(*irr) if len(irr) > 1 else lambda seq: tuple(seq[j] for j in irr)
-            packed = np.packbits(self.leq[list(irr)].T, axis=1)
-            return gather, {row.tobytes(): x for x, row in enumerate(packed)}
+            return ids, columns, gather
 
-        return self._cached("irreducible_keys", make)
+        return self._cached("irreducible_columns", make)
 
     @property
     def join_rows(self) -> list[list[int]]:
@@ -250,8 +237,10 @@ class FiniteLattice:
     @property
     def down_packed_lookup(self) -> _KeyIndex:
         """Each element's down-set on the join-irreducibles, packed into
-        bytes, and their lookup; built on first use.  Every element is the
-        join of the irreducibles below it (Birkhoff), so the keys differ."""
+        bytes by np.packbits, and their lookups; built on first use.  Every
+        element is the join of the irreducibles below it (Birkhoff), so the
+        keys differ.  The 1-element lattice has no irreducibles: its row is
+        one zero byte, and its key in `ids` is b"", the packing of no bits."""
 
         def make():
             irr = list(self.irreducibles)
@@ -260,7 +249,8 @@ class FiniteLattice:
             packed.flags.writeable = False
             as_bytes = packed.view(f"S{packed.shape[1]}")[:, 0]
             order = np.argsort(as_bytes, kind="stable")
-            return _KeyIndex(packed, order, as_bytes[order])
+            ids = {row.tobytes(): x for x, row in enumerate(packed)} if irr else {b"": self.bottom_id}
+            return _KeyIndex(packed, order, as_bytes[order], ids)
 
         return self._cached("down_keys", make)
 
@@ -393,12 +383,6 @@ class FiniteLattice:
             return a, rest, starts
 
         return self._cached("subtract_runs", make)
-
-    # -- derived lattices ------------------------------------------------------
-
-    def dual(self) -> "FiniteLattice":
-        """The same elements under the reversed order (joins become meets)."""
-        return FiniteLattice(self.labels, self.leq.T)
 
     # -- serialization ----------------------------------------------------------
 

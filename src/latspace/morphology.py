@@ -51,9 +51,6 @@ class PointSet:
     def __len__(self) -> int:
         return len(self.points)
 
-    def __contains__(self, p) -> bool:
-        return tuple(p) in self.points
-
     def sorted_points(self) -> list[Vector]:
         return sorted(self.points)
 

@@ -234,22 +234,6 @@ def projection_monotone(scs: Scs) -> None:
                  f"projection shrank from {list(small)} to {list(large)} at {c}")
 
 
-def compositionality(systems: Iterable[Scs]) -> int:
-    """Pooling two groups' spaces gives the space of their union: the
-    subtraction recursion on δ_G and δ_H equals δ_{G∪H}, the meet on J, for
-    every ordered pair of subgroups, the empty and equal ones included.  Not
-    in CHECKS; the tests call it.  Returns the number of pairs compared."""
-    checks = 0
-    for k, scs in enumerate(systems):
-        family = distributed.DeltaFamily(scs)
-        for g, h in itertools.product(subgroups(scs), repeat=2):
-            pooled = distributed.delta_pair_subtract(scs.lattice, family.get(g), family.get(h))
-            _require(pooled.images == family.get(set(g) | set(h)).images,
-                     f"system {k}: pooling {list(g)} with {list(h)} differs from their union")
-            checks += 1
-    return checks
-
-
 def kripke_knowledge(model_sets: Iterable[Sequence[epistemic.KripkeModel]]) -> int:
     """No agents pool to the least space, others to the box along their intersected
     relations (kripke_dk); returns the number of (group, set) compared."""

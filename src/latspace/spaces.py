@@ -48,11 +48,6 @@ from .lattice import FiniteLattice
 # 4 us each at 8 elements (see README).
 DEFAULT_MAX_ENUM = 250_000
 
-# Cells of one block of pairs (x, j) in _is_space_function, about 16 bytes
-# each at the peak: an enumeration block on a 1024-element lattice can
-# reach about 16M cells, 16 candidates of n x |J| on the chain.
-_VERDICT_CELLS = 1 << 20
-
 
 class AxiomViolation(NamedTuple):
     """First failing space axiom and the witnessing element(s)."""
@@ -67,22 +62,15 @@ class AxiomViolation(NamedTuple):
 
 def _is_space_function(lattice: FiniteLattice, img: np.ndarray) -> np.ndarray:
     """Verdict of validate_space_function on an array of element ids,
-    without looking up a witness; on an n x B array, one per column.  A
-    column's pairs (x, j) take n x |J| cells, so the columns go in blocks
-    of at most about _VERDICT_CELLS cells (one column when it has more)."""
-    irr, columns = lattice.irreducible_columns
-    joins = lattice.join_table.ravel()
-
-    def verdict(block):
-        pooled = joins.take(block[:, None] * lattice.n + block.take(irr, axis=0))
-        return (block[lattice.bottom_id] == lattice.bottom_id) & (
-            block.take(columns, axis=0) == pooled
-        ).all(axis=(0, 1))
-
-    if img.ndim == 1:
-        return verdict(img)
-    step = max(1, _VERDICT_CELLS // max(columns.size, 1))
-    return np.concatenate([verdict(img[:, k : k + step]) for k in range(0, max(img.shape[1], 1), step)])
+    without looking up a witness; on an n x B array, one per column.  It
+    compares all n x |J| x B pairs (x, j) at once, about 16 bytes a cell at
+    the peak, so batch callers bound B: the enumeration by _BLOCK_CELLS
+    cells, the survey by _BLOCK_PAIRS // n^2 columns."""
+    irr, columns, _ = lattice.irreducible_columns
+    pooled = lattice.join_table.ravel().take(img[:, None] * lattice.n + img.take(irr, axis=0))
+    return (img[lattice.bottom_id] == lattice.bottom_id) & (
+        img.take(columns, axis=0) == pooled
+    ).all(axis=(0, 1))
 
 
 def _image_array(lattice: FiniteLattice, images) -> np.ndarray:
@@ -156,9 +144,9 @@ class SpaceFunction:
     @classmethod
     def _validated(cls, lattice: FiniteLattice, images: tuple[int, ...]) -> "SpaceFunction":
         """A space function built without a verdict: a member of
-        enumerate_space_functions (already judged), a pooled group on a
-        distributive lattice or a constant space below, which are space
-        functions by construction."""
+        enumerate_space_functions or a random_space_function draw (already
+        judged), a pooled group on a distributive lattice or a constant
+        space below, which are space functions by construction."""
         f = object.__new__(cls)
         object.__setattr__(f, "lattice", lattice)
         object.__setattr__(f, "images", images)
@@ -245,9 +233,9 @@ def pointwise_meet_raw(fs: Sequence[SpaceFunction]) -> list[int]:
 
 # -- enumeration -------------------------------------------------------------
 
-# Cells (elements x candidates) per block of the enumeration; it bounds the
-# temporaries of one extension and its validation.
-_BLOCK_CELLS = 1 << 14
+# Verdict cells (n x |J| per candidate) per block of the enumeration; it
+# bounds the temporaries of one extension and its validation.
+_BLOCK_CELLS = 1 << 16
 
 
 def _irreducible_order(lattice: FiniteLattice) -> tuple[np.ndarray, np.ndarray]:
@@ -266,7 +254,7 @@ def _irreducible_meet(lattice: FiniteLattice, fs, members=None) -> np.ndarray:
     array `members` the result has a batch axis of G groups: column g
     meets the functions whose row is True at g, the others adding top,
     the unit of the meet."""
-    irr, top, gather = lattice.irreducibles, lattice.top_id, lattice.irreducible_keys[0]
+    irr, top, gather = lattice.irreducibles, lattice.top_id, lattice.irreducible_columns[2]
     fs = fs or ()
     at_irr = np.array([gather(f.images) for f in fs], dtype=np.intp).reshape(len(fs), len(irr))
     if members is not None:
@@ -295,10 +283,11 @@ def _space_function_blocks(
 
     The candidates are the product of each irreducible's allowed images,
     in lexicographic order along the topological order of the
-    irreducibles, the last one fastest.  Each block drops the candidates
-    that are not monotone along J, extends the rest by joins and keeps
-    the extensions that pass validation; on a distributive lattice all
-    of them do.
+    irreducibles, the last one fastest.  A block holds as many candidates
+    as fit in _BLOCK_CELLS verdict cells, n x |J| each (at least one).  It
+    drops the candidates that are not monotone along J, extends the rest
+    by joins and keeps the extensions that pass validation; on a
+    distributive lattice all of them do.
     """
     if below and any(f.lattice is not lattice for f in below):
         raise LatticeMismatch("bounds live on a different lattice")
@@ -311,7 +300,7 @@ def _space_function_blocks(
     order, strictly_below = _irreducible_order(lattice)
     lo, hi = np.nonzero(strictly_below)
     allowed = _allowed_images(lattice, below)
-    step = max(1, _BLOCK_CELLS // lattice.n)
+    step = max(1, _BLOCK_CELLS // max(lattice.irreducible_columns[1].size, 1))
     for start in range(0, estimate, step):
         rest = np.arange(start, min(start + step, estimate))
         values = np.empty((len(allowed), len(rest)), dtype=np.int32)
@@ -385,10 +374,10 @@ def random_space_function(lattice: FiniteLattice, rng) -> SpaceFunction:
         values = [lattice.bottom_id] * len(order)
         for k in order:
             floor = lattice.join_of([values[i] for i in np.flatnonzero(below[:, k])])
-            values[k] = rng.choice(lattice.up_ids(floor))
+            values[k] = rng.choice(np.flatnonzero(lattice.leq[floor]).tolist())
         images = lattice.extend(values)
         if _is_space_function(lattice, images):
-            return SpaceFunction(lattice, images)
+            return SpaceFunction._validated(lattice, tuple(images.tolist()))
 
 
 # -- projections --------------------------------------------------------------
@@ -404,10 +393,9 @@ def agent_projection(f: SpaceFunction, c: int) -> int:
     """
     lattice = f.lattice
     below_c = lattice.leq[:, lattice.check_id(c)]
-    gather, ids = lattice.irreducible_keys
-    at_irr = gather(f.images)
+    at_irr = lattice.irreducible_columns[2](f.images)
     derivable = below_c[np.fromiter(at_irr, np.intp, len(at_irr))]
-    return ids[np.packbits(derivable).tobytes()]
+    return lattice.down_packed_lookup.ids[np.packbits(derivable).tobytes()]
 
 
 # -- agent systems -------------------------------------------------------------

@@ -105,6 +105,23 @@ def validation_verdicts(functions, rng) -> int:
     return checks
 
 
+def compositionality(systems) -> int:
+    """Pooling two groups' spaces gives the space of their union: the
+    subtraction recursion on δ_G and δ_H equals δ_{G∪H}, the meet on J, for
+    every ordered pair of subgroups, the empty and equal ones included.
+    Not in selfcheck's CHECKS, so its output stays fixed.  Returns the
+    number of pairs compared."""
+    checks = 0
+    for k, scs in enumerate(systems):
+        family = ls.DeltaFamily(scs)
+        for g, h in itertools.product(selfcheck.subgroups(scs), repeat=2):
+            pooled = ls.delta_pair_subtract(scs.lattice, family.get(g), family.get(h))
+            assert pooled.images == family.get(set(g) | set(h)).images, (
+                f"system {k}: pooling {list(g)} with {list(h)} differs from their union")
+            checks += 1
+    return checks
+
+
 def agent_projection_reference(f, c):
     """Reference for spaces.agent_projection: the join, by join_of, of
     every element whose image under f lies below c."""

@@ -208,7 +208,7 @@ def test_criterion_10_nondistributive_survey(canonical):
     lines = []
     for name in ("M3", "N5"):
         survey = sc.tuple_formula_survey(canonical[name], name)
-        if survey.found_counterexample:
+        if survey.violations:
             lines.append(
                 f"{name}: {len(survey.violations)} violating pairs out of "
                 f"{survey.pair_count} (counterexample confirms the "

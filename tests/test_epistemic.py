@@ -7,6 +7,7 @@ import latspace as ls
 from latspace import epistemic as ep
 from latspace import selfcheck
 from latspace.errors import InvalidElement, TooLarge, UnknownAgent, UnknownProp
+from conftest import compositionality
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +100,7 @@ def test_parser_rejects_malformed(bad):
 def test_box_of_full_universe_is_full(two_state_model):
     models = [two_state_model]
     full = frozenset(ep.pointed_states(models))
-    assert ep.kripke_box(models, "1", full) == full
+    assert ep.kripke_dk(models, ["1"], full) == full
 
 
 def test_kripke_model_leaves_the_valuation_unchanged():
@@ -112,21 +113,21 @@ def test_kripke_model_leaves_the_valuation_unchanged():
 def test_box_with_empty_relation_is_full():
     m = ep.KripkeModel(("s", "t"), ("p",), {}, {"1": frozenset()})
     full = frozenset(ep.pointed_states([m]))
-    assert ep.kripke_box([m], "1", frozenset()) == full
+    assert ep.kripke_dk([m], ["1"], frozenset()) == full
 
 
 def test_box_two_state_example(two_state_model):
     models = [two_state_model]
     x = frozenset({(0, "t")})
-    assert ep.kripke_box(models, "1", x) == frozenset({(0, "s"), (0, "t")})
-    # the agent is normalised with str(), as in kripke_dk and Scs.group
-    assert ep.kripke_box(models, 1, x) == frozenset({(0, "s"), (0, "t")})
+    assert ep.kripke_dk(models, ["1"], x) == frozenset({(0, "s"), (0, "t")})
+    # agent names are normalised with str(), as in Scs.group
+    assert ep.kripke_dk(models, [1], x) == frozenset({(0, "s"), (0, "t")})
 
 
 def test_box_unknown_agent(two_state_model):
     for agent in ("9", 9):
         with pytest.raises(UnknownAgent):
-            ep.kripke_box([two_state_model], agent, frozenset())
+            ep.kripke_dk([two_state_model], [agent], frozenset())
 
 
 def test_dk_singleton_equals_box(two_state_model):
@@ -135,7 +136,9 @@ def test_dk_singleton_equals_box(two_state_model):
         itertools.combinations(ep.pointed_states(models), r) for r in range(3)
     ):
         x = frozenset(mask_states)
-        assert ep.kripke_dk(models, ["1"], x) == ep.kripke_box(models, "1", x)
+        box = {(i, s) for i, m in enumerate(models) for s in m.states
+               if all((i, t) in x for t in m.successors("1", s))}
+        assert ep.kripke_dk(models, ["1"], x) == box
 
 
 def test_dk_empty_intersection_is_full(two_state_model):
@@ -234,7 +237,7 @@ def test_compositionality_on_induced_systems():
     rng = random.Random(41)
     systems = [ep.kripke_to_scs(selfcheck.random_kripke_models(rng)).scs for _ in range(15)]
     systems += [ep.aumann_to_scs(selfcheck.random_aumann(rng)).scs for _ in range(15)]
-    assert selfcheck.compositionality(systems) >= 30 * 4
+    assert compositionality(systems) >= 30 * 4
 
 def test_kripke_need_not_be_closure_operator():
     # a non-reflexive relation gives knowledge without truth
@@ -318,7 +321,7 @@ def test_box_is_the_one_agent_group_and_the_reference_box():
                 boxed = ks.evaluate(ep.parse_formula(f"[]{agent} ({body})"))
                 assert boxed == ks.evaluate(ep.parse_formula(f"D{{{agent}}} ({body})"))
                 inner = ks.set_of(ks.evaluate(ep.parse_formula(body)))
-                assert ks.set_of(boxed) == ep.kripke_box(models, agent, inner)
+                assert ks.set_of(boxed) == ep.kripke_dk(models, [agent], inner)
 
 
 # States whose set labels would collide: {a,b} against {"a,b"}, and the empty
@@ -371,21 +374,21 @@ def grid_structure():
 
 def test_aumann_know_basics(grid_structure):
     s = frozenset(grid_structure.states)
-    assert ep.aumann_know(grid_structure, "1", s) == s
-    assert ep.aumann_know(grid_structure, "1", frozenset({"1", "2"})) == frozenset({"1", "2"})
-    assert ep.aumann_know(grid_structure, "1", frozenset({"1"})) == frozenset()
-    # the agent is normalised with str(), as in aumann_dk; unknown names raise
-    assert ep.aumann_know(grid_structure, 1, frozenset({"1", "2"})) == frozenset({"1", "2"})
+    assert ep.aumann_dk(grid_structure, ["1"], s) == s
+    assert ep.aumann_dk(grid_structure, ["1"], frozenset({"1", "2"})) == frozenset({"1", "2"})
+    assert ep.aumann_dk(grid_structure, ["1"], frozenset({"1"})) == frozenset()
+    # agent names are normalised with str(); unknown names raise
+    assert ep.aumann_dk(grid_structure, [1], frozenset({"1", "2"})) == frozenset({"1", "2"})
     for agent in ("9", 9):
         with pytest.raises(UnknownAgent):
-            ep.aumann_know(grid_structure, agent, s)
+            ep.aumann_dk(grid_structure, [agent], s)
 
 
 def test_aumann_know_three_state_example():
     a = ep.AumannStructure(
         ("1", "2", "3"), {"1": (frozenset({"1", "2"}), frozenset({"3"}))}
     )
-    assert ep.aumann_know(a, "1", frozenset({"1", "2"})) == frozenset({"1", "2"})
+    assert ep.aumann_dk(a, ["1"], frozenset({"1", "2"})) == frozenset({"1", "2"})
 
 
 def test_aumann_discrete_partition_is_identity():
@@ -393,14 +396,14 @@ def test_aumann_discrete_partition_is_identity():
         ("1", "2"), {"1": (frozenset({"1"}), frozenset({"2"}))}
     )
     for event in (frozenset(), frozenset({"1"}), frozenset({"1", "2"})):
-        assert ep.aumann_know(a, "1", event) == event
+        assert ep.aumann_dk(a, ["1"], event) == event
 
 
 def test_aumann_trivial_partition():
     a = ep.AumannStructure(("1", "2"), {"1": (frozenset({"1", "2"}),)})
     s = frozenset(a.states)
-    assert ep.aumann_know(a, "1", s) == s
-    assert ep.aumann_know(a, "1", frozenset({"1"})) == frozenset()
+    assert ep.aumann_dk(a, ["1"], s) == s
+    assert ep.aumann_dk(a, ["1"], frozenset({"1"})) == frozenset()
 
 
 def test_aumann_dk_grid_is_discrete(grid_structure):
@@ -414,9 +417,8 @@ def test_aumann_dk_grid_is_discrete(grid_structure):
 
 def test_aumann_dk_singleton(grid_structure):
     for event in (frozenset({"1"}), frozenset({"1", "2"}), frozenset()):
-        assert ep.aumann_dk(grid_structure, ["1"], event) == ep.aumann_know(
-            grid_structure, "1", event
-        )
+        know = {s for s in grid_structure.states if grid_structure.block_of("1", s) <= event}
+        assert ep.aumann_dk(grid_structure, ["1"], event) == know
 
 
 def test_aumann_partition_validation():

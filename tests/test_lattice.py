@@ -482,8 +482,23 @@ def test_subtract_runs_are_cached_read_only_runs_of_the_down_sets(canonical):
         ends = [*starts[1:], len(a)]
         for c in range(lat.n):
             run = a[starts[c] : ends[c]].tolist()
-            assert run == lat.down_ids(c) and c in run
+            assert run == np.flatnonzero(lat.leq[:, c]).tolist() and c in run
             assert rest[starts[c] : ends[c]].tolist() == [lat.subtract(c, x) for x in run]
+
+
+def test_packed_keys_name_each_element_in_both_lookups(canonical):
+    """Each element's key is its down-set on J, packed; find and ids both
+    map it back to the element, and gather reads a sequence at J."""
+    for lat in [*canonical.values(), ls.powerset_lattice("abcd"), ls.chain_lattice(2), ls.chain_lattice(1)]:
+        irr, _, gather = lat.irreducible_columns
+        keys = lat.down_packed_lookup
+        assert gather(range(lat.n)) == lat.irreducibles == tuple(irr.tolist())
+        assert keys.find(keys.rows).tolist() == list(range(lat.n))
+        for x in range(lat.n):
+            packed = np.packbits(lat.leq[irr, x]).tobytes()
+            assert keys.ids[packed] == x
+            assert packed == keys.rows[x].tobytes() or not irr.size
+    assert ls.chain_lattice(1).down_packed_lookup.ids == {b"": 0}
 
 
 @pytest.mark.parametrize("name", ["M3", "N5"])
@@ -610,7 +625,7 @@ def test_from_json_rejects_covers_that_are_not_two_string_lists(covers):
 
 
 def test_dual_swaps_everything(m2):
-    dual = m2.dual()
+    dual = ls.FiniteLattice(m2.labels, m2.leq.T)
     assert dual.bottom_id == m2.top_id
     assert dual.top_id == m2.bottom_id
     assert np.array_equal(dual.join_table, m2.meet_table)

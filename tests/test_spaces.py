@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import random
 import time
@@ -81,18 +82,76 @@ def test_validation_matches_pair_scan(space_functions):
     assert checked == 3 * sum(map(len, functions.values()))
 
 
-@pytest.mark.parametrize("cells", [1, 40, 1 << 20])
-def test_verdict_blocks_match_the_reference(canonical, monkeypatch, cells):
-    """Columns split into blocks of pairs (x, j), including one column per
-    block and an empty batch, give the verdicts of the pair scan."""
-    monkeypatch.setattr(spaces, "_VERDICT_CELLS", cells)
-    rng = random.Random(cells)
+def test_batched_verdicts_match_the_pair_scan(canonical):
+    """One verdict call on a batch of columns, an empty batch included,
+    gives the verdicts of the pair scan."""
+    rng = random.Random(40)
     for lat in [canonical[name] for name in ("M2", "M3", "N5", "chain3")] + [ls.chain_lattice(1)]:
         maps = [ls.random_space_function(lat, rng).images for _ in range(6)]
         maps += [tuple(rng.randrange(lat.n) for _ in range(lat.n)) for _ in range(12)]
         got = spaces._is_space_function(lat, np.array(maps, dtype=np.int32).T)
         assert got.tolist() == [pair_scan_violation(lat, images) is None for images in maps]
         assert spaces._is_space_function(lat, np.zeros((lat.n, 0), dtype=np.int32)).shape == (0,)
+
+
+def spy_on_verdicts(monkeypatch):
+    """Record every verdict call: its batch width B (0 for one 1-D map)
+    and its verdicts."""
+    calls = []
+    verdict = spaces._is_space_function
+
+    def spy(lattice, images):
+        got = verdict(lattice, images)
+        calls.append((images.shape[1] if images.ndim == 2 else 0, np.atleast_1d(got).tolist()))
+        return got
+
+    monkeypatch.setattr(spaces, "_is_space_function", spy)
+    return calls
+
+
+@pytest.mark.parametrize("per_block", [1, 7])
+def test_enumeration_blocks_match_the_reference(canonical, monkeypatch, per_block):
+    """Enumeration blocks of 1 and 7 candidates, on lattices where the
+    verdict rejects candidates, list the reference's space functions in its
+    order."""
+    for name in ("M3", "N5"):
+        lat = canonical[name]
+        monkeypatch.setattr(spaces, "_BLOCK_CELLS", per_block * lat.n * len(lat.irreducibles))
+        calls = spy_on_verdicts(monkeypatch)
+        got = [f.images for f in ls.enumerate_space_functions(lat)]
+        assert got == backtracking_space_functions(lat)
+        assert all(width <= per_block for width, _ in calls)
+        assert not all(ok for _, verdicts in calls for ok in verdicts)  # some are rejected
+        monkeypatch.undo()
+
+
+def test_enumeration_blocks_stay_within_the_cell_budget(monkeypatch):
+    """On the 1024-element chain one candidate takes n x |J| > _BLOCK_CELLS
+    verdict cells, so every block holds one.  Below f, which is bottom but
+    on the top three elements, the enumeration lists every monotone map
+    below f."""
+    lat = ls.chain_lattice(1024)
+    f = ls.SpaceFunction(lat, [max(0, x - 1020) for x in range(lat.n)])
+    calls = spy_on_verdicts(monkeypatch)
+    got = [g.images[-3:] for g in ls.enumerate_space_functions(lat, [f])]
+    cells = lat.n * len(lat.irreducibles)
+    assert calls and all(cells * width <= spaces._BLOCK_CELLS or width == 1 for width, _ in calls)
+    tails = [t for t in itertools.product(range(2), range(3), range(4)) if t[0] <= t[1] <= t[2]]
+    assert got == tails
+
+
+@pytest.mark.parametrize("name", ["M3", "N5", "chain3", "powerset3"])
+def test_random_space_function_takes_one_verdict_per_draw(canonical, monkeypatch, name):
+    """Each accepted draw passes one verdict and takes none after it."""
+    lat = ls.powerset_lattice("abc") if name == "powerset3" else canonical[name]
+    rng = random.Random(name)
+    calls = spy_on_verdicts(monkeypatch)
+    for _ in range(10):
+        calls.clear()
+        f = ls.random_space_function(lat, rng)
+        assert [ok for _, (ok,) in calls] == [False] * (len(calls) - 1) + [True]
+        assert pair_scan_violation(lat, f.images) is None
+        assert all(type(y) is int for y in f.images)
 
 
 def test_batched_witness_matches_validation_column_by_column(canonical):
@@ -329,7 +388,7 @@ def test_enumeration_validates_no_member_again(m3, monkeypatch):
 
 def test_enumeration_order_across_blocks(monkeypatch):
     lat = stacked_lattice(2, "N5")
-    monkeypatch.setattr(spaces, "_BLOCK_CELLS", 7 * lat.n)  # 7 candidates per block
+    monkeypatch.setattr(spaces, "_BLOCK_CELLS", 7 * lat.n * len(lat.irreducibles))  # 7 per block
     estimate = enumeration_size_estimate(lat)
     assert estimate > 7 and estimate % 7  # several blocks, the last one partial
     reference = backtracking_space_functions(lat)
@@ -436,7 +495,7 @@ def test_projection_matches_reference_on_closure_systems():
         lat = closure_system_lattice(rng, rng.randint(3, 5))
         if wanted[lat.is_distributive]:
             wanted[lat.is_distributive] -= 1
-            for each in (lat, lat.dual()):
+            for each in (lat, ls.FiniteLattice(lat.labels, lat.leq.T)):
                 for _ in range(4):
                     assert_projections_match_reference(ls.random_space_function(each, rng))
 
@@ -474,7 +533,7 @@ def test_the_constant_spaces_are_space_functions_on_every_lattice(canonical):
 
 def test_down_sizes_count_the_elements_below(canonical):
     for lat in canonical.values():
-        assert lat.down_sizes.tolist() == [len(lat.down_ids(x)) for x in range(lat.n)]
+        assert lat.down_sizes.tolist() == [np.count_nonzero(lat.leq[:, x]) for x in range(lat.n)]
         for table in (lat.down_sizes, lat.cover):
             assert not table.flags.writeable
 
