@@ -1,13 +1,16 @@
-"""Finite complete lattices with precomputed join/meet tables.
+"""Finite complete lattices with checked join and meet tables.
 
 Element identity is a dense integer id; labels appear only at I/O
 boundaries.  The order relation follows the information-order
 convention: the bottom element plays the role of "true" (empty
 information) and the top element the role of "false" (inconsistent
-information).  Validation is eager: a constructed lattice has been
-checked exhaustively, so every later query may assume a valid lattice.
-Instances are immutable after construction (derived tables are cached
-lazily but idempotently), so unsynchronized concurrent reads are safe.
+information).  Validation happens at construction: the order axioms,
+every pairwise join and a least element are checked exhaustively, which
+makes a finite order a lattice, so every later query may assume a valid
+lattice.  The meet table and the other derived tables are built on
+first read.  Instances are immutable after construction (derived tables
+are cached lazily but idempotently), so unsynchronized concurrent reads
+are safe.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from .errors import InvalidElement, NotALattice, NotAntisymmetric, NotDistributi
 from .errors import json_list, json_object, json_pairs, read_json
 
 # Largest lattice built.  Construction is super-quadratic: a powerset
-# builds in about 0.2 s at 1024 elements and 1.6-2.0 s at 2048 (see README).
+# builds in about 0.1 s at 1024 elements and 0.7-0.95 s at 2048, and its
+# meet table, built on first read, costs about as much again (see README).
 # The bound tables' float32 sums stay exact while n * 2**n.bit_length() < 2**24.
 MAX_ELEMENTS = 1024
 
@@ -50,13 +54,30 @@ class _KeyIndex(NamedTuple):
         return self.order[np.minimum(at, len(self.order) - 1)]
 
 
+def _cached(build):
+    """A read-only property whose value, build(self), is made on first read
+    and kept in the instance's _caches, so a later read is one dict lookup."""
+    key = build.__name__
+
+    def read(self):
+        try:
+            return self._caches[key]
+        except KeyError:
+            value = self._caches[key] = build(self)
+            return value
+
+    read.__name__, read.__doc__ = key, build.__doc__
+    return property(read)
+
+
 class FiniteLattice:
     """A validated finite complete lattice.
 
     Attributes:
         labels: element labels, indexed by element id.
         leq: read-only boolean matrix, leq[a, b] iff a is below b.
-        join_table, meet_table: int matrices of pairwise lubs/glbs.
+        join_table, meet_table: read-only int32 matrices of pairwise
+            lubs/glbs; the meet table is built on first read.
         bottom_id, top_id: ids of the least and greatest elements.
         cover: read-only boolean matrix, cover[a, b] iff b covers a.
         down_sizes: read-only, down_sizes[x] counts the elements below x.
@@ -104,16 +125,20 @@ class FiniteLattice:
         self.cover = interval == 2  # b covers a iff the interval [a, b] is {a, b}
         self.cover.flags.writeable = False
         self._irreducibles = tuple(int(j) for j in np.flatnonzero(self.cover.sum(axis=0) == 1))
-        below32 = np.ascontiguousarray(above32.T)  # rows are down-sets
-        levels = _levels(below32)
+        self._caches: dict[str, object] = {}
+        levels = _levels(np.ascontiguousarray(above32.T))  # rows are down-sets
         self.join_table = self._bound_table(leq, above32, levels, "least upper")
-        self.meet_table = self._bound_table(leq.T, below32, levels[::-1], "greatest lower")
-        # with all bounds, the finite order has a least and a greatest element
+        # A finite order in which every pair has a join and which has a least
+        # element is a lattice (Davey and Priestley, ch. 2), so the meet table
+        # waits for its first read.  Without a least element it is built now,
+        # and its checks name the first pair that has no meet.
+        up_sizes = leq.sum(axis=1)
+        self.bottom_id = int(np.argmax(up_sizes))
+        if up_sizes[self.bottom_id] != n:
+            self.meet_table  # raises NotALattice
         self.down_sizes = leq.sum(axis=0)
         self.down_sizes.flags.writeable = False
-        self.bottom_id = int(np.argmax(leq.sum(axis=1)))
         self.top_id = int(np.argmax(self.down_sizes))
-        self._caches: dict[str, object] = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -194,65 +219,60 @@ class FiniteLattice:
 
     # -- cached derived structure ---------------------------------------------
 
-    def _cached(self, key: str, make):
-        if key not in self._caches:
-            self._caches[key] = make()
-        return self._caches[key]
-
     @property
     def irreducibles(self) -> tuple[int, ...]:
         """Join-irreducible elements, in id order: in a finite lattice these
         are exactly the elements with one lower cover."""
         return self._irreducibles
 
-    @property
+    @_cached
+    def meet_table(self) -> np.ndarray:
+        """Read-only int32 n x n table of pairwise greatest lower bounds,
+        built and checked on first read as the join table is, over the
+        transposed order with its levels from the bottom."""
+        below32 = np.ascontiguousarray(self.leq.T, dtype=np.float32)  # rows are down-sets
+        return self._bound_table(self.leq.T, below32, _levels(below32)[::-1], "greatest lower")
+
+    @_cached
     def irreducible_columns(self) -> tuple[np.ndarray, np.ndarray, Callable]:
         """(J, join_table[:, J], gather): the join-irreducibles as an index
         array, the n x |J| columns of the join table at them, and gather,
         where gather(seq) is the tuple of seq's entries at J in one
         itemgetter call."""
+        irr = self.irreducibles
+        ids = np.array(irr, dtype=np.intp)
+        columns = self.join_table[:, ids]
+        ids.flags.writeable = columns.flags.writeable = False
+        gather = operator.itemgetter(*irr) if len(irr) > 1 else lambda seq: tuple(seq[j] for j in irr)
+        return ids, columns, gather
 
-        def make():
-            irr = self.irreducibles
-            ids = np.array(irr, dtype=np.intp)
-            columns = self.join_table[:, ids]
-            ids.flags.writeable = columns.flags.writeable = False
-            gather = operator.itemgetter(*irr) if len(irr) > 1 else lambda seq: tuple(seq[j] for j in irr)
-            return ids, columns, gather
-
-        return self._cached("irreducible_columns", make)
-
-    @property
+    @_cached
     def join_rows(self) -> list[list[int]]:
-        return self._cached("join_rows", lambda: self.join_table.tolist())
+        return self.join_table.tolist()
 
-    @property
+    @_cached
     def meet_rows(self) -> list[list[int]]:
-        return self._cached("meet_rows", lambda: self.meet_table.tolist())
+        return self.meet_table.tolist()
 
-    @property
+    @_cached
     def leq_rows(self) -> list[list[bool]]:
-        return self._cached("leq_rows", lambda: self.leq.tolist())
+        return self.leq.tolist()
 
-    @property
+    @_cached
     def down_packed_lookup(self) -> _KeyIndex:
         """Each element's down-set on the join-irreducibles, packed into
         bytes by np.packbits, and their lookups; built on first use.  Every
         element is the join of the irreducibles below it (Birkhoff), so the
         keys differ.  The 1-element lattice has no irreducibles: its row is
         one zero byte, and its key in `ids` is b"", the packing of no bits."""
-
-        def make():
-            irr = list(self.irreducibles)
-            bits = self.leq.T[:, irr] if irr else np.zeros((self.n, 1), dtype=bool)
-            packed = np.ascontiguousarray(np.packbits(bits, axis=1))
-            packed.flags.writeable = False
-            as_bytes = packed.view(f"S{packed.shape[1]}")[:, 0]
-            order = np.argsort(as_bytes, kind="stable")
-            ids = {row.tobytes(): x for x, row in enumerate(packed)} if irr else {b"": self.bottom_id}
-            return _KeyIndex(packed, order, as_bytes[order], ids)
-
-        return self._cached("down_keys", make)
+        irr = list(self.irreducibles)
+        bits = self.leq.T[:, irr] if irr else np.zeros((self.n, 1), dtype=bool)
+        packed = np.ascontiguousarray(np.packbits(bits, axis=1))
+        packed.flags.writeable = False
+        as_bytes = packed.view(f"S{packed.shape[1]}")[:, 0]
+        order = np.argsort(as_bytes, kind="stable")
+        ids = {row.tobytes(): x for x, row in enumerate(packed)} if irr else {b"": self.bottom_id}
+        return _KeyIndex(packed, order, as_bytes[order], ids)
 
     def extend(self, values) -> np.ndarray:
         """Extension by joins of images given on the join-irreducibles:
@@ -303,31 +323,32 @@ class FiniteLattice:
         (j meet a, j, b) is then a witness (x, y, z) with x join (y meet z)
         != (x join y) meet (x join z).  Cached after the first call.
         """
+        return self._distributivity
 
-        def make():
-            jt, mt, leq = self.join_table, self.meet_table, self.leq
-            irr = np.array(self.irreducibles, dtype=np.intp)
-            # j is join-prime iff {x : j not below x} has an upper bound not
-            # above j, i.e. one u outside with the whole set below it.
-            # inside[k, u] counts the members below u; float32 is exact here.
-            outside = ~leq[irr]
-            inside = outside.astype(np.float32) @ leq.astype(np.float32)
-            bounded = inside == outside.sum(axis=1)[:, None]
-            prime = (bounded & outside).any(axis=1)
-            if prime.all():
-                return True, None
-            j = int(irr[np.argmin(prime)])
-            up = leq[j]
-            broken = up[jt] & ~up[:, None] & ~up[None, :]
-            a, b = map(int, np.argwhere(broken)[0])
-            if jt[b, mt[j, a]] != jt[b, j]:
-                return False, (b, j, a)
-            # Now b join (j meet a) = b join j lies above j, so the right side
-            # is j; the left side joins two elements strictly below the
-            # irreducible j, so it is not j.
-            return False, (int(mt[j, a]), j, b)
-
-        return self._cached("distributivity", make)
+    @_cached
+    def _distributivity(self) -> tuple[bool, tuple[int, int, int] | None]:
+        jt, leq = self.join_table, self.leq
+        irr = np.array(self.irreducibles, dtype=np.intp)
+        # j is join-prime iff {x : j not below x} has an upper bound not
+        # above j, i.e. one u outside with the whole set below it.
+        # inside[k, u] counts the members below u; float32 is exact here.
+        outside = ~leq[irr]
+        inside = outside.astype(np.float32) @ leq.astype(np.float32)
+        bounded = inside == outside.sum(axis=1)[:, None]
+        prime = (bounded & outside).any(axis=1)
+        if prime.all():
+            return True, None
+        j = int(irr[np.argmin(prime)])
+        up = leq[j]
+        broken = up[jt] & ~up[:, None] & ~up[None, :]
+        a, b = map(int, np.argwhere(broken)[0])
+        ja = int(self.meet_table[j, a])
+        if jt[b, ja] != jt[b, j]:
+            return False, (b, j, a)
+        # Now b join (j meet a) = b join j lies above j, so the right side
+        # is j; the left side joins two elements strictly below the
+        # irreducible j, so it is not j.
+        return False, (ja, j, b)
 
     @property
     def is_distributive(self) -> bool:
@@ -344,45 +365,42 @@ class FiniteLattice:
         candidates = np.nonzero(self.leq[d, joined])[0]
         return self.meet_of(candidates)
 
-    @property
+    def _subtract_at(self, d: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """d minus c at every pair of the broadcast index arrays d and c, on a
+        distributive lattice only.  There d minus c is the join of the
+        irreducibles below d and not below c (Birkhoff), so the result grows
+        from all bottom by one masked join per irreducible."""
+        if not self.is_distributive:
+            raise NotDistributive("the subtraction table needs a distributive lattice")
+        jt, leq = self.join_table, self.leq
+        out = np.full(np.broadcast_shapes(d.shape, c.shape), self.bottom_id, dtype=np.int32)
+        # Its own loop: through extend this step measured 20-50% slower.
+        for j in self.irreducibles:
+            up = leq[j]
+            out = np.where(up[d] & ~up[c], jt[:, j].take(out), out)  # j below d, not below c
+        return out
+
+    @_cached
     def subtract_table(self) -> np.ndarray:
         """Full n x n table, table[d, c] = subtract(d, c), built on first use.
+        Only distributive lattices have one (see _subtract_at)."""
+        ids = np.arange(self.n)
+        table = self._subtract_at(ids[:, None], ids[None, :])
+        table.flags.writeable = False
+        return table
 
-        Only distributive lattices have one: there d minus c is the join of
-        the irreducibles below d and not below c (Birkhoff), so the table
-        grows from all bottom by one masked join per irreducible.
-        """
-
-        def make():
-            if not self.is_distributive:
-                raise NotDistributive("the subtraction table needs a distributive lattice")
-            jt, leq = self.join_table, self.leq
-            # Its own loop: through extend this step measured 20-50% slower.
-            table = np.full((self.n, self.n), self.bottom_id, dtype=np.int32)
-            for j in self.irreducibles:
-                sel = leq[j][:, None] & ~leq[j][None, :]  # j below d, not below c
-                table = np.where(sel, jt[:, j].take(table), table)
-            table.flags.writeable = False
-            return table
-
-        return self._cached("subtract_table", make)
-
-    @property
+    @_cached
     def subtract_runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(a, c minus a, starts) over the pairs a below c, in runs by c in
         id order, each run in ascending a and holding a = c; starts[c] is
-        where the run of c begins.  Built on first use, from the
-        subtraction table, so only distributive lattices have it."""
-
-        def make():
-            cs, a = np.nonzero(np.ascontiguousarray(self.leq.T))
-            rest = self.subtract_table[cs, a]
-            starts = np.searchsorted(cs, np.arange(self.n))
-            for array in (a, rest, starts):
-                array.flags.writeable = False
-            return a, rest, starts
-
-        return self._cached("subtract_runs", make)
+        where the run of c begins.  Built on first use, on those pairs
+        alone, so only distributive lattices have it."""
+        cs, a = np.nonzero(np.ascontiguousarray(self.leq.T))
+        rest = self._subtract_at(cs, a)
+        starts = np.searchsorted(cs, np.arange(self.n))
+        for array in (a, rest, starts):
+            array.flags.writeable = False
+        return a, rest, starts
 
     # -- serialization ----------------------------------------------------------
 
@@ -446,11 +464,14 @@ def build_lattice(labels, covers) -> FiniteLattice:
         raise InvalidElement("element labels must be distinct")
     n = len(labels)
     _check_elements(n)
+    covers = list(covers)
+    try:
+        flat = [index[lo] * n + index[hi] for lo, hi in covers]
+    except KeyError:
+        lo, hi = next((lo, hi) for lo, hi in covers if lo not in index or hi not in index)
+        raise InvalidElement(f"cover ({lo!r}, {hi!r}) references unknown labels") from None
     leq = np.eye(n, dtype=bool)
-    for lo, hi in covers:
-        if lo not in index or hi not in index:
-            raise InvalidElement(f"cover ({lo!r}, {hi!r}) references unknown labels")
-        leq[index[lo], index[hi]] = True
+    leq.ravel()[flat] = True
     # Closure by float32 squaring, which doubles the path length reached
     # each time; antisymmetry violations surface in the constructor.
     while True:

@@ -250,17 +250,22 @@ def _irreducible_order(lattice: FiniteLattice) -> tuple[np.ndarray, np.ndarray]:
 def _irreducible_meet(lattice: FiniteLattice, fs, members=None) -> np.ndarray:
     """Point-wise meet of the functions' images on the irreducibles, in
     the order of lattice.irreducibles; top at each when there are none.
-    Each function is read at the irreducibles once.  With an m x G bool
-    array `members` the result has a batch axis of G groups: column g
-    meets the functions whose row is True at g, the others adding top,
-    the unit of the meet."""
-    irr, top, gather = lattice.irreducibles, lattice.top_id, lattice.irreducible_columns[2]
-    fs = fs or ()
-    at_irr = np.array([gather(f.images) for f in fs], dtype=np.intp).reshape(len(fs), len(irr))
+    Each function is read at the irreducibles once.  An irreducible lies
+    below a meet iff it lies below every member, so each meet's key is the
+    AND of the images' down_packed_lookup rows, on every finite lattice.
+    With an m x G bool array `members` the result has a batch axis of G
+    groups: column g meets the functions whose row is True at g, the
+    others adding top, the unit of the meet."""
+    keys, gather = lattice.down_packed_lookup, lattice.irreducible_columns[2]
+    size, fs = len(lattice.irreducibles), fs or ()
+    at_irr = np.array([gather(f.images) for f in fs], dtype=np.intp).reshape(len(fs), size)
     if members is not None:
-        at_irr = np.where(members[:, None, :], at_irr[:, :, None], top)
-    return reduce(lambda acc, values: lattice.meet_table[acc, values], at_irr,
-                  np.full(at_irr.shape[1:], top, dtype=np.intp))
+        at_irr = np.where(members[:, None, :], at_irr[:, :, None], lattice.top_id)
+    meet = np.empty((*at_irr.shape[1:], keys.rows.shape[1]), dtype=np.uint8)
+    meet[...] = keys.rows[lattice.top_id]
+    for ids in at_irr:
+        meet &= keys.rows.take(ids, axis=0)
+    return keys.find(meet)
 
 
 def _allowed_images(lattice: FiniteLattice, below) -> list[np.ndarray]:

@@ -128,6 +128,17 @@ def test_unknown_cover_labels_are_rejected():
         ls.build_lattice(["a"], [("a", "zz")])
 
 
+def test_the_first_cover_with_an_unknown_label_is_named():
+    labels = ["0", "a", "b", "1"]
+    covers = [("0", "a"), ("0", "b"), ("a", "x"), ("y", "1"), ("b", "1")]
+    with pytest.raises(InvalidElement) as err:
+        ls.build_lattice(labels, covers)
+    assert str(err.value) == "cover ('a', 'x') references unknown labels"
+    with pytest.raises(InvalidElement) as err:
+        ls.build_lattice(labels, [("0", "a"), ["z", "b"], ("a", "x")])
+    assert str(err.value) == "cover ('z', 'b') references unknown labels"
+
+
 def test_duplicate_labels_are_rejected():
     with pytest.raises(InvalidElement):
         ls.build_lattice(["a", "a"], [])
@@ -501,10 +512,77 @@ def test_packed_keys_name_each_element_in_both_lookups(canonical):
     assert ls.chain_lattice(1).down_packed_lookup.ids == {b"": 0}
 
 
-@pytest.mark.parametrize("name", ["M3", "N5"])
+@pytest.mark.parametrize("name", ["M3", "N5", "herbrand-xy-ab"])
 def test_subtract_runs_refuse_nondistributive(canonical, name):
-    with pytest.raises(NotDistributive):
-        canonical[name].subtract_runs
+    for _ in range(2):  # a refusal caches nothing
+        with pytest.raises(NotDistributive) as err:
+            canonical[name].subtract_runs
+        assert str(err.value) == "the subtraction table needs a distributive lattice"
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_subtraction_on_the_pairs_below_matches_pointwise(seed):
+    # the runs are built on the pairs a below c alone, the table on all pairs
+    lat = ls.random_distributive_lattice(random.Random(seed), points=7)
+    a, rest, starts = lat.subtract_runs
+    cs = np.repeat(np.arange(lat.n), np.diff([*starts, len(a)]))
+    assert rest.tolist() == [lat.subtract(c, x) for c, x in zip(cs.tolist(), a.tolist())]
+    assert_subtract_table_matches_pointwise(lat)
+
+
+def spy_on_bound_tables(monkeypatch):
+    """Record the kind of every bound table FiniteLattice builds."""
+    built = []
+    original = ls.FiniteLattice._bound_table
+
+    def spy(self, above, above32, levels, kind):
+        built.append(kind)
+        return original(self, above, above32, levels, kind)
+
+    monkeypatch.setattr(ls.FiniteLattice, "_bound_table", spy)
+    return built
+
+
+def test_a_lattice_with_a_least_element_builds_one_table(canonical, monkeypatch):
+    built = spy_on_bound_tables(monkeypatch)
+    shapes = [*canonical.values(), ls.powerset_lattice("abcd"), ls.chain_lattice(70),
+              ls.random_distributive_lattice(random.Random(4), points=6), stacked_lattice(3, "N5")]
+    for lat in shapes:
+        built.clear()
+        lat = ls.FiniteLattice(lat.labels, lat.leq)
+        assert built == ["least upper"]
+        table = lat.meet_table  # built on first read, once
+        assert lat.meet_table is table and built == ["least upper", "greatest lower"]
+        assert table.dtype == np.int32 and table.shape == (lat.n, lat.n)
+        assert not table.flags.writeable
+        assert np.array_equal(table, bound_table_reference(lat.labels, np.asarray(lat.leq).T,
+                                                           "greatest lower"))
+
+
+def test_cached_tables_are_properties_read_from_one_cache(canonical):
+    # perfbench/spans.py wraps cached tables through property.fget
+    lat = canonical["M2"]
+    for name in ("meet_table", "irreducible_columns", "down_packed_lookup", "subtract_table",
+                 "subtract_runs", "join_rows", "meet_rows", "leq_rows"):
+        assert isinstance(vars(ls.FiniteLattice)[name], property)
+        assert getattr(lat, name) is getattr(lat, name)
+
+
+def test_the_distributive_routes_build_no_meet_table(m3, monkeypatch):
+    built = spy_on_bound_tables(monkeypatch)
+    rng = random.Random(11)
+    lat = ls.random_distributive_lattice(rng, points=7)
+    assert built == ["least upper"]
+    scs = ls.Scs(lat, {str(k): ls.random_space_function(lat, rng) for k in range(3)})
+    assert lat.distributivity() == (True, None)
+    by_tuple = ls.delta_group(scs, ["0", "1", "2"], "tuple")
+    assert ls.delta_group(scs, ["0", "1", "2"], "subtract").images == by_tuple.images
+    assert built == ["least upper"]
+    # the refusal's witness is the one place that reads meets
+    m3 = ls.FiniteLattice(m3.labels, m3.leq)
+    assert not m3.is_distributive
+    assert built == ["least upper", "least upper", "greatest lower"]
 
 
 def test_subtract_defined_on_nondistributive(m3):

@@ -374,6 +374,54 @@ def test_enumeration_order_matches_backtracking_reference(name):
         assert ls.function_meet_oracle(lat, below or []).images == joined
 
 
+def irreducible_meet_reference(lat, fs, members):
+    """Reference for spaces._irreducible_meet: for each group (column of
+    members), the meet-table fold of its functions' images at J, from top."""
+    irr = list(lat.irreducibles)
+    out = np.full((len(irr), members.shape[1]), lat.top_id)
+    for g in range(members.shape[1]):
+        for f, member in zip(fs, members[:, g]):
+            if member:
+                out[:, g] = lat.meet_table[out[:, g], [f.images[j] for j in irr]]
+    return out
+
+
+def assert_irreducible_meet_matches_the_meet_table(lat, rng):
+    for m in range(4):
+        fs = [ls.random_space_function(lat, rng) for _ in range(m)]
+        members = np.array([[rng.random() < 0.6 for _ in range(5)] for _ in range(m)],
+                           dtype=bool).reshape(m, 5)
+        members[:, 0] = False  # a group with no functions meets to top
+        want = irreducible_meet_reference(lat, fs, members)
+        assert np.array_equal(spaces._irreducible_meet(lat, fs, members), want)
+        whole = irreducible_meet_reference(lat, fs, np.ones((m, 1), dtype=bool))[:, 0]
+        assert np.array_equal(spaces._irreducible_meet(lat, fs), whole)
+    top = np.full(len(lat.irreducibles), lat.top_id)
+    assert np.array_equal(spaces._irreducible_meet(lat, None), top)
+    assert np.array_equal(spaces._irreducible_meet(lat, []), top)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_irreducible_meet_matches_the_meet_table_on_closure_systems(seed):
+    # closure systems are seldom distributive; the key meet holds on any lattice
+    rng = random.Random(seed)
+    assert_irreducible_meet_matches_the_meet_table(closure_system_lattice(rng, rng.randint(2, 5)), rng)
+
+
+@pytest.mark.parametrize("size", [1, 2, 65, 130])
+def test_irreducible_meet_matches_the_meet_table_on_chains(size):
+    # the keys of the longer chains span more than 64 bits; the 1-element
+    # chain has no irreducibles
+    assert_irreducible_meet_matches_the_meet_table(ls.chain_lattice(size), random.Random(size))
+
+
+def test_irreducible_meet_matches_the_meet_table_on_the_fixtures(canonical):
+    rng = random.Random(5)
+    for lat in [*canonical.values(), stacked_lattice(3, "M3"), stacked_lattice(3, "N5")]:
+        assert_irreducible_meet_matches_the_meet_table(lat, rng)
+
+
 def test_enumeration_validates_no_member_again(m3, monkeypatch):
     def refuse(lattice, images):
         raise AssertionError("enumerate_space_functions validated a member again")
