@@ -9,12 +9,18 @@ import io
 import json
 import sys
 
-from . import distributed, epistemic, morphology, pbm, selfcheck
 from .errors import InvalidElement, LatspaceError
 from .lattice import FiniteLattice
 # validate_space_function is unused here but stays importable from this module:
 # perfbench/tests checks that the span tracer patches it in every namespace.
 from .spaces import Scs, validate_space_function  # noqa: F401
+
+# Each command imports the modules it runs, so a command loads only those.
+# The parser keeps its own copies of these two constants so that building it
+# imports neither distributed nor selfcheck; tests/test_cli.py pins them to
+# distributed.METHODS and selfcheck.DEFAULT_SEED.
+METHODS = ("tuple", "subtract", "oracle")
+DEFAULT_SEED = 7
 
 
 def _parse_group(text: str) -> list[str]:
@@ -45,6 +51,8 @@ def cmd_scs_check(args) -> int:
 
 
 def cmd_delta(args) -> int:
+    from . import distributed
+
     scs = Scs.load(args.scs)
     group = _parse_group(args.group)
     dfun = distributed.delta_group(scs, group, method=args.method)
@@ -67,6 +75,8 @@ def cmd_delta(args) -> int:
 
 
 def cmd_project(args) -> int:
+    from . import distributed
+
     scs = Scs.load(args.scs)
     lattice = scs.lattice
     c = lattice.id_of(args.at)
@@ -82,6 +92,8 @@ def cmd_project(args) -> int:
 
 
 def cmd_kripke(args) -> int:
+    from . import epistemic
+
     models = [epistemic.KripkeModel.load(p) for p in args.model]
     ks = epistemic.kripke_to_scs(models)
     formula = epistemic.parse_formula(args.formula)
@@ -94,6 +106,8 @@ def cmd_kripke(args) -> int:
 
 
 def cmd_aumann(args) -> int:
+    from . import epistemic
+
     struct = epistemic.AumannStructure.load(args.model)
     group = _parse_group(args.group)
     event = frozenset(_parse_group(args.event))
@@ -109,6 +123,8 @@ def cmd_aumann(args) -> int:
 
 
 def cmd_morph(args) -> int:
+    from . import morphology, pbm
+
     image, canvas = pbm.read_pbm_with_canvas(args.image)
     se = pbm.read_pbm(args.se, center_origin=True)
     if args.op == "dilate":
@@ -126,6 +142,8 @@ def cmd_morph(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
+    from . import selfcheck
+
     return selfcheck.run_selfcheck(args.seed)
 
 
@@ -148,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("delta", help="pooled space of a group of agents")
     p.add_argument("--scs", required=True)
     p.add_argument("--group", required=True, help="comma-separated agent names")
-    p.add_argument("--method", choices=distributed.METHODS, default="tuple")
+    p.add_argument("--method", choices=METHODS, default="tuple")
     p.add_argument("--at", help="single element label to evaluate at")
     p.add_argument("--emit", choices=("table", "json"), default="table")
     p.set_defaults(run=cmd_delta)
@@ -181,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_morph)
 
     p = sub.add_parser("selfcheck", help="run the invariant suite")
-    p.add_argument("--seed", type=int, default=selfcheck.DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(run=cmd_selfcheck)
 
     return parser

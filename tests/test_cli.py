@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from latspace import cli, epistemic, selfcheck
+from latspace import cli, distributed, epistemic, selfcheck
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -313,6 +313,18 @@ def test_error_format_single_line(fixture_dir):
     missing = run_cli("lattice-check", "no_such_file.json")
     assert missing.returncode == 1
     assert missing.stderr.startswith("ERROR FileNotFound:")
+
+
+def test_the_parser_copies_of_module_constants_match_their_modules():
+    # The parser keeps its own --method choices and --seed default so that
+    # building it imports neither module; the copies must not drift.
+    assert cli.METHODS == distributed.METHODS
+    assert cli.DEFAULT_SEED == selfcheck.DEFAULT_SEED
+    parser = cli.build_parser()
+    assert parser.parse_args(["selfcheck"]).seed == selfcheck.DEFAULT_SEED
+    for method in distributed.METHODS:
+        args = parser.parse_args(["delta", "--scs", "s.json", "--group", "1", "--method", method])
+        assert args.method == method
 
 
 def test_usage_error_exits_2():
