@@ -37,21 +37,30 @@ _BLOCK_PAIRS = 1 << 14
 
 
 class _KeyIndex(NamedTuple):
-    """Each element's key, rows[x], packed into bytes, with two lookups:
-    `order`, the ids in ascending key order, for find on whole arrays, and
-    `ids`, a dict from each key's bytes to its id, for one key at a time.
-    In a lattice the keys are distinct."""
+    """Each element's key, rows[x], packed into bytes, and `ids`, a dict from
+    each key, read as numpy reads fixed-width byte strings (trailing zero
+    bytes dropped, so keys of one width stay distinct), to its id."""
 
     rows: np.ndarray
-    order: np.ndarray
-    sorted_keys: np.ndarray
     ids: dict[bytes, int]
 
     def find(self, rows: np.ndarray) -> np.ndarray:
-        """Id with each packed key in `rows` (C-contiguous, bytes last); a key
-        no element has yields some id, which callers verify or rule out."""
-        at = np.searchsorted(self.sorted_keys, rows.view(self.sorted_keys.dtype)[..., 0])
-        return self.order[np.minimum(at, len(self.order) - 1)]
+        """Id with each packed key in `rows` (C-contiguous, bytes last), or KeyError."""
+        keys = rows.view(f"S{rows.shape[-1]}")[..., 0]
+        found = np.fromiter(map(self.ids.__getitem__, keys.flat), np.intp, keys.size)
+        return found.reshape(keys.shape)
+
+    def meets(self, ids) -> np.ndarray:
+        """Meet along the first axis of a non-empty id array: its key is the AND
+        of the members' keys, taken one slice at a time to bound temporaries."""
+        meet = self.rows.take(ids[0], axis=0)
+        for more in ids[1:]:
+            meet &= self.rows.take(more, axis=0)
+        return self.find(meet)
+
+    def element(self, below) -> int:
+        """The element whose irreducibles below are those marked in `below`."""
+        return self.ids[np.packbits(below).tobytes().rstrip(b"\0")]
 
 
 def _cached(build):
@@ -214,8 +223,7 @@ class FiniteLattice:
 
     def meet_of(self, ids) -> int:
         """Greatest lower bound of a set of ids; the empty meet is top."""
-        ids = [self.check_id(x) for x in ids]
-        return reduce(lambda a, b: int(self.meet_table[a, b]), ids, self.top_id)
+        return int(self.down_packed_lookup.meets([self.top_id, *map(self.check_id, ids)]))
 
     # -- cached derived structure ---------------------------------------------
 
@@ -261,18 +269,16 @@ class FiniteLattice:
     @_cached
     def down_packed_lookup(self) -> _KeyIndex:
         """Each element's down-set on the join-irreducibles, packed into
-        bytes by np.packbits, and their lookups; built on first use.  Every
+        bytes by np.packbits, and their lookup; built on first use.  Every
         element is the join of the irreducibles below it (Birkhoff), so the
         keys differ.  The 1-element lattice has no irreducibles: its row is
-        one zero byte, and its key in `ids` is b"", the packing of no bits."""
+        one zero byte, read as the key b"", the packing of no bits."""
         irr = list(self.irreducibles)
         bits = self.leq.T[:, irr] if irr else np.zeros((self.n, 1), dtype=bool)
         packed = np.ascontiguousarray(np.packbits(bits, axis=1))
         packed.flags.writeable = False
-        as_bytes = packed.view(f"S{packed.shape[1]}")[:, 0]
-        order = np.argsort(as_bytes, kind="stable")
-        ids = {row.tobytes(): x for x, row in enumerate(packed)} if irr else {b"": self.bottom_id}
-        return _KeyIndex(packed, order, as_bytes[order], ids)
+        keys = packed.view(f"S{packed.shape[1]}")[:, 0].tolist()
+        return _KeyIndex(packed, dict(zip(keys, range(self.n))))
 
     def extend(self, values) -> np.ndarray:
         """Extension by joins of images given on the join-irreducibles:
@@ -342,7 +348,7 @@ class FiniteLattice:
         up = leq[j]
         broken = up[jt] & ~up[:, None] & ~up[None, :]
         a, b = map(int, np.argwhere(broken)[0])
-        ja = int(self.meet_table[j, a])
+        ja = self.meet_of([j, a])
         if jt[b, ja] != jt[b, j]:
             return False, (b, j, a)
         # Now b join (j meet a) = b join j lies above j, so the right side
@@ -361,9 +367,7 @@ class FiniteLattice:
         on distributive ones.
         """
         d, c = self.check_id(d), self.check_id(c)
-        joined = self.join_table[c]
-        candidates = np.nonzero(self.leq[d, joined])[0]
-        return self.meet_of(candidates)
+        return self.meet_of(np.flatnonzero(self.leq[d, self.join_table[c]]))
 
     def _subtract_at(self, d: np.ndarray, c: np.ndarray) -> np.ndarray:
         """d minus c at every pair of the broadcast index arrays d and c, on a

@@ -227,8 +227,7 @@ def pointwise_meet_raw(fs: Sequence[SpaceFunction]) -> list[int]:
     validate_space_function before trusting it.
     """
     lattice = _same_lattice(fs)
-    mt = lattice.meet_table
-    return reduce(lambda acc, f: mt[acc, f.images], fs[1:], np.asarray(fs[0].images)).tolist()
+    return lattice.down_packed_lookup.meets([f.images for f in fs]).tolist()
 
 
 # -- enumeration -------------------------------------------------------------
@@ -255,17 +254,13 @@ def _irreducible_meet(lattice: FiniteLattice, fs, members=None) -> np.ndarray:
     AND of the images' down_packed_lookup rows, on every finite lattice.
     With an m x G bool array `members` the result has a batch axis of G
     groups: column g meets the functions whose row is True at g, the
-    others adding top, the unit of the meet."""
-    keys, gather = lattice.down_packed_lookup, lattice.irreducible_columns[2]
+    others adding top, the unit of the meet, which also opens every run."""
+    gather = lattice.irreducible_columns[2]
     size, fs = len(lattice.irreducibles), fs or ()
     at_irr = np.array([gather(f.images) for f in fs], dtype=np.intp).reshape(len(fs), size)
     if members is not None:
         at_irr = np.where(members[:, None, :], at_irr[:, :, None], lattice.top_id)
-    meet = np.empty((*at_irr.shape[1:], keys.rows.shape[1]), dtype=np.uint8)
-    meet[...] = keys.rows[lattice.top_id]
-    for ids in at_irr:
-        meet &= keys.rows.take(ids, axis=0)
-    return keys.find(meet)
+    return lattice.down_packed_lookup.meets(np.insert(at_irr, 0, lattice.top_id, axis=0))
 
 
 def _allowed_images(lattice: FiniteLattice, below) -> list[np.ndarray]:
@@ -355,15 +350,17 @@ def enum_budget() -> int:
     """Enumeration budget: LATSPACE_MAX_ENUM if set, else DEFAULT_MAX_ENUM.
 
     Bounds the candidates of the enumeration oracle and the tuples of
-    the direct tuple scan.
+    the direct tuple scan.  0 is a budget; a negative value is refused.
     """
     raw = os.environ.get("LATSPACE_MAX_ENUM")
     if not raw:
         return DEFAULT_MAX_ENUM
     try:
-        return int(raw)
+        if (budget := int(raw)) >= 0:
+            return budget
     except ValueError:
-        raise FormatError(f"LATSPACE_MAX_ENUM must be an integer, got {raw!r}") from None
+        pass
+    raise FormatError(f"LATSPACE_MAX_ENUM must be a non-negative integer, got {raw!r}")
 
 
 def random_space_function(lattice: FiniteLattice, rng) -> SpaceFunction:
@@ -399,8 +396,7 @@ def agent_projection(f: SpaceFunction, c: int) -> int:
     lattice = f.lattice
     below_c = lattice.leq[:, lattice.check_id(c)]
     at_irr = lattice.irreducible_columns[2](f.images)
-    derivable = below_c[np.fromiter(at_irr, np.intp, len(at_irr))]
-    return lattice.down_packed_lookup.ids[np.packbits(derivable).tobytes()]
+    return lattice.down_packed_lookup.element(below_c[np.fromiter(at_irr, np.intp, len(at_irr))])
 
 
 # -- agent systems -------------------------------------------------------------

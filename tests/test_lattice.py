@@ -498,18 +498,30 @@ def test_subtract_runs_are_cached_read_only_runs_of_the_down_sets(canonical):
 
 
 def test_packed_keys_name_each_element_in_both_lookups(canonical):
-    """Each element's key is its down-set on J, packed; find and ids both
-    map it back to the element, and gather reads a sequence at J."""
+    """Each element's key is its down-set on J, packed; find and the
+    single-set lookup both map it back to the element through the one
+    dict, and gather reads a sequence at J."""
     for lat in [*canonical.values(), ls.powerset_lattice("abcd"), ls.chain_lattice(2), ls.chain_lattice(1)]:
         irr, _, gather = lat.irreducible_columns
         keys = lat.down_packed_lookup
+        assert type(keys)._fields == ("rows", "ids")
         assert gather(range(lat.n)) == lat.irreducibles == tuple(irr.tolist())
         assert keys.find(keys.rows).tolist() == list(range(lat.n))
         for x in range(lat.n):
-            packed = np.packbits(lat.leq[irr, x]).tobytes()
-            assert keys.ids[packed] == x
-            assert packed == keys.rows[x].tobytes() or not irr.size
+            assert keys.element(lat.leq[irr, x]) == x
+            assert keys.find(keys.rows[x]) == x
+            assert np.array_equal(np.packbits(lat.leq[irr, x]), keys.rows[x]) or not irr.size
     assert ls.chain_lattice(1).down_packed_lookup.ids == {b"": 0}
+
+
+def test_a_key_no_element_has_raises_key_error(canonical):
+    # in M3 two atoms join to top, so no element has exactly two atoms below it
+    keys = canonical["M3"].down_packed_lookup
+    two_atoms = [True, True, False]
+    with pytest.raises(KeyError):
+        keys.find(np.packbits(two_atoms)[None])
+    with pytest.raises(KeyError):
+        keys.element(two_atoms)
 
 
 @pytest.mark.parametrize("name", ["M3", "N5", "herbrand-xy-ab"])
@@ -579,10 +591,21 @@ def test_the_distributive_routes_build_no_meet_table(m3, monkeypatch):
     by_tuple = ls.delta_group(scs, ["0", "1", "2"], "tuple")
     assert ls.delta_group(scs, ["0", "1", "2"], "subtract").images == by_tuple.images
     assert built == ["least upper"]
-    # the refusal's witness is the one place that reads meets
+    # no production route builds it: not the refusal's witness, not the
+    # element meets, subtraction or projections on a non-distributive lattice
     m3 = ls.FiniteLattice(m3.labels, m3.leq)
     assert not m3.is_distributive
+    fs = [ls.random_space_function(m3, rng) for _ in range(3)]
+    for d, c in itertools.product(range(m3.n), repeat=2):
+        m3.meet_of([d, c])
+        m3.subtract(d, c)
+        ls.agent_projection(fs[0], c)
+    ls.pointwise_meet_raw(fs)
+    assert built == ["least upper", "least upper"]
+    table = m3.meet_table  # a direct read still builds and checks it
     assert built == ["least upper", "least upper", "greatest lower"]
+    assert np.array_equal(table, bound_table_reference(m3.labels, np.asarray(m3.leq).T,
+                                                       "greatest lower"))
 
 
 def test_subtract_defined_on_nondistributive(m3):

@@ -396,6 +396,11 @@ def assert_irreducible_meet_matches_the_meet_table(lat, rng):
         assert np.array_equal(spaces._irreducible_meet(lat, fs, members), want)
         whole = irreducible_meet_reference(lat, fs, np.ones((m, 1), dtype=bool))[:, 0]
         assert np.array_equal(spaces._irreducible_meet(lat, fs), whole)
+        pointwise = np.full(lat.n, lat.top_id)
+        for f in fs:
+            pointwise = lat.meet_table[pointwise, f.images]
+        assert [lat.meet_of([f.images[x] for f in fs]) for x in range(lat.n)] == pointwise.tolist()
+        assert not fs or ls.pointwise_meet_raw(fs) == pointwise.tolist()
     top = np.full(len(lat.irreducibles), lat.top_id)
     assert np.array_equal(spaces._irreducible_meet(lat, None), top)
     assert np.array_equal(spaces._irreducible_meet(lat, []), top)
@@ -693,6 +698,7 @@ def test_scs_rejects_malformed_documents(doc):
 
 def test_enum_cap_env_must_be_an_integer(monkeypatch):
     lat = ls.powerset_lattice(["a"])
-    monkeypatch.setenv("LATSPACE_MAX_ENUM", "abc")
-    with pytest.raises(FormatError):
-        ls.enumerate_space_functions(lat)
+    for raw in ("abc", "-1"):
+        monkeypatch.setenv("LATSPACE_MAX_ENUM", raw)
+        with pytest.raises(FormatError):
+            ls.enumerate_space_functions(lat)
