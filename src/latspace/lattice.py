@@ -45,14 +45,15 @@ class _KeyIndex(NamedTuple):
     ids: dict[bytes, int]
 
     def find(self, rows: np.ndarray) -> np.ndarray:
-        """Id with each packed key in `rows` (C-contiguous, bytes last), or KeyError."""
-        keys = rows.view(f"S{rows.shape[-1]}")[..., 0]
-        found = np.fromiter(map(self.ids.__getitem__, keys.flat), np.intp, keys.size)
-        return found.reshape(keys.shape)
+        """Id with each packed key in `rows` (C-contiguous, bytes last), or KeyError.
+        Keys reach Python 4096 at a time, which bounds their bytes objects."""
+        keys = rows.view(f"S{rows.shape[-1]}")[..., 0].ravel()
+        lists = (keys[i : i + 4096].tolist() for i in range(0, keys.size, 4096))
+        found = map(self.ids.__getitem__, itertools.chain.from_iterable(lists))
+        return np.fromiter(found, np.intp, keys.size).reshape(rows.shape[:-1])
 
     def meets(self, ids) -> np.ndarray:
-        """Meet along the first axis of a non-empty id array: its key is the AND
-        of the members' keys, taken one slice at a time to bound temporaries."""
+        """Meet along axis 0 of a non-empty id array: AND the keys a slice at a time."""
         meet = self.rows.take(ids[0], axis=0)
         for more in ids[1:]:
             meet &= self.rows.take(more, axis=0)
@@ -268,11 +269,9 @@ class FiniteLattice:
 
     @_cached
     def down_packed_lookup(self) -> _KeyIndex:
-        """Each element's down-set on the join-irreducibles, packed into
-        bytes by np.packbits, and their lookup; built on first use.  Every
-        element is the join of the irreducibles below it (Birkhoff), so the
-        keys differ.  The 1-element lattice has no irreducibles: its row is
-        one zero byte, read as the key b"", the packing of no bits."""
+        """Each element's down-set on J packed by np.packbits, and its lookup;
+        built on first use.  Every element is the join of the irreducibles below
+        it (Birkhoff), so keys differ; no J leaves one zero byte, read as b""."""
         irr = list(self.irreducibles)
         bits = self.leq.T[:, irr] if irr else np.zeros((self.n, 1), dtype=bool)
         packed = np.ascontiguousarray(np.packbits(bits, axis=1))

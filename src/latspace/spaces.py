@@ -260,7 +260,8 @@ def _irreducible_meet(lattice: FiniteLattice, fs, members=None) -> np.ndarray:
     at_irr = np.array([gather(f.images) for f in fs], dtype=np.intp).reshape(len(fs), size)
     if members is not None:
         at_irr = np.where(members[:, None, :], at_irr[:, :, None], lattice.top_id)
-    return lattice.down_packed_lookup.meets(np.insert(at_irr, 0, lattice.top_id, axis=0))
+    top = np.full((1, *at_irr.shape[1:]), lattice.top_id)
+    return lattice.down_packed_lookup.meets(np.concatenate([top, at_irr]))
 
 
 def _allowed_images(lattice: FiniteLattice, below) -> list[np.ndarray]:

@@ -472,9 +472,10 @@ def test_default_budget_refuses_just_above_it_quickly(monkeypatch):
 
 def test_enum_cap_env_override(monkeypatch):
     lat = ls.powerset_lattice(["a", "b", "c"])
-    monkeypatch.setenv("LATSPACE_MAX_ENUM", "3")
-    with pytest.raises(TooLarge):
-        ls.enumerate_space_functions(lat)
+    for raw in ("3", "0"):  # 0 is a budget, not a malformed value
+        monkeypatch.setenv("LATSPACE_MAX_ENUM", raw)
+        with pytest.raises(TooLarge):
+            ls.enumerate_space_functions(lat)
     monkeypatch.setenv("LATSPACE_MAX_ENUM", "100000")
     assert ls.enumerate_space_functions(lat)
 
