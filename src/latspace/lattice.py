@@ -271,7 +271,7 @@ class FiniteLattice:
     def down_packed_lookup(self) -> _KeyIndex:
         """Each element's down-set on J packed by np.packbits, and its lookup;
         built on first use.  Every element is the join of the irreducibles below
-        it (Birkhoff), so keys differ; no J leaves one zero byte, read as b""."""
+        it (Birkhoff), so keys differ.  Without J a row is one zero byte: b""."""
         irr = list(self.irreducibles)
         bits = self.leq.T[:, irr] if irr else np.zeros((self.n, 1), dtype=bool)
         packed = np.ascontiguousarray(np.packbits(bits, axis=1))
